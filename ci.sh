@@ -12,8 +12,9 @@
 #                  service, its SDK and the sketch scheme) and the
 #                  worker-parallel paths (experiment grid, batch
 #                  disguise/sampling); the island scheduler and the sharded
-#                  and sketch collectors additionally run under -cpu 1,4 to
-#                  exercise both the single-P and multi-P schedules
+#                  collector (dense and sketch schemes) additionally run
+#                  under -cpu 1,4 to exercise both the single-P and multi-P
+#                  schedules
 #   fuzz smoke     a short -fuzz burst on the sketch hash→disguise→debias
 #                  round trip (estimates stay finite and near-normalized for
 #                  arbitrary parameters)
@@ -24,9 +25,10 @@
 #                  SPEA2 scratch — 2-D and k-dimensional — bound repair,
 #                  batch disguise, convergence-snapshot emission, histogram
 #                  quantiles) and
-#                  the safe-vs-sharded collector contention matrix with the
-#                  batched writer, the sketch collector's parallel ingest
-#                  and full-domain heavy-hitter scan, and the rrserver HTTP
+#                  the collector contention matrix (sharded ingest, bare
+#                  and instrumented as rrserver runs it) with the batched
+#                  writer, sketch-scheme parallel ingest and the full-domain
+#                  heavy-hitter scan, and the rrserver HTTP
 #                  batch-ingest path (with its p99 batch latency as a custom
 #                  metric), at pinned -benchtime/-count with -benchmem, all
 #                  rendered into BENCH_optimize.json

@@ -247,7 +247,7 @@ func main() {
 // reconstruction after every batch. With -metrics-addr this is the
 // long-running scenario worth watching over expvar/pprof.
 func simulateCollection(m *optrr.Matrix, prior []float64, n int, seed uint64, telem *obs.CLI) error {
-	c := optrr.NewSafeCollector(m)
+	c := optrr.NewShardedCollector(m, 0)
 	c.Instrument(telem.Recorder, telem.Registry)
 	rng := optrr.NewRand(seed + 1)
 

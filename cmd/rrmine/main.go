@@ -299,7 +299,7 @@ func runSketchDemo(domain, records int, epsilon float64, seed uint64, stage func
 	// Aggregation and discovery: the collector's side, which never sees a
 	// true value and never allocates anything domain-sized but the scan.
 	stageStart = time.Now()
-	col := collector.NewSketch(scheme, 0)
+	col := collector.NewSharded(scheme, 0)
 	if err := col.IngestBatch(reports); err != nil {
 		return err
 	}

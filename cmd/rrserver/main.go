@@ -1,7 +1,7 @@
 // Command rrserver is the LDP collection service: the server half of the
 // paper's Section I deployment. Respondents disguise locally (see the
-// rrclient SDK) and POST only disguised category indices; rrserver
-// aggregates them in a sharded collector and serves the debiased frequency
+// rrclient SDK) and POST only disguised reports; rrserver aggregates them
+// in one sharded collector, whatever the scheme, and serves the debiased frequency
 // estimate with per-category confidence half-widths.
 //
 //	rrserver -addr :8433 -categories 10 -warner 0.75 -snapshot state.json
@@ -33,6 +33,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -41,6 +42,7 @@ import (
 	"syscall"
 	"time"
 
+	"optrr/internal/collector"
 	"optrr/internal/obs"
 	"optrr/internal/rr"
 	"optrr/internal/rrserver"
@@ -272,20 +274,15 @@ func runLoadtest(srv *rrserver.Server, f flags) error {
 	if err := srv.SnapshotNow(); err != nil {
 		return err
 	}
-	// The margin line is a dense-mode diagnostic; the sketch has no single
-	// full-domain margin to quote.
-	if col := srv.Collector(); col != nil {
-		est, err := col.Snapshot(srv.Z())
-		if err != nil {
-			return err
-		}
-		worst := 0.0
-		for _, h := range est.HalfWidth {
-			if h > worst {
-				worst = h
-			}
-		}
-		fmt.Printf("margin\t%.6f\n", worst)
+	// The margin line needs the dense scheme's closed-form variance; the
+	// sketch has no single full-domain margin to quote.
+	margin, err := srv.Collector().MarginOfError(srv.Z())
+	if errors.Is(err, collector.ErrUnsupported) {
+		return nil
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("margin\t%.6f\n", margin)
 	return nil
 }

@@ -20,32 +20,28 @@ type CollectionSummary = collector.Summary
 // Respondent holds one private value and submits disguised reports.
 type Respondent = collector.Respondent
 
-// SafeCollector is a Collector safe for concurrent ingestion and querying.
-type SafeCollector = collector.SafeCollector
-
-// ShardedCollector is a concurrency-safe collector that stripes counts
-// across independently locked shards, for ingestion rates where a single
-// mutex becomes the bottleneck. Queries are consistent points in time and
-// match SafeCollector bit for bit on identical streams.
+// ShardedCollector is the concurrency-safe collector for any Scheme: it
+// stripes counts across independently locked shards so many goroutines can
+// ingest at once. Queries are consistent points in time; over a dense
+// Matrix they match Collector bit for bit on identical streams, and over a
+// sketch they answer point queries and heavy-hitter scans.
 type ShardedCollector = collector.ShardedCollector
 
 // NewCollector returns a collector for reports disguised with m. It is not
-// safe for concurrent use; see NewSafeCollector.
+// safe for concurrent use; see NewShardedCollector.
 func NewCollector(m *Matrix) *Collector { return collector.New(m) }
 
-// NewSafeCollector returns a concurrency-safe collector for reports
-// disguised with m.
-func NewSafeCollector(m *Matrix) *SafeCollector { return collector.NewSafe(m) }
-
-// NewShardedCollector returns a sharded collector for reports disguised
-// with m, striped across the given number of shards (<= 0 picks a default
-// sized to GOMAXPROCS).
-func NewShardedCollector(m *Matrix, shards int) *ShardedCollector {
-	return collector.NewSharded(m, shards)
+// NewShardedCollector returns a concurrency-safe collector for reports
+// encoded by scheme — a dense *Matrix or a sketch — striped across the
+// given number of shards (<= 0 picks a default sized to GOMAXPROCS).
+func NewShardedCollector(scheme Scheme, shards int) *ShardedCollector {
+	return collector.NewSharded(scheme, shards)
 }
 
 // RestoreShardedCollector rebuilds a sharded collector from a snapshot
-// produced by its MarshalJSON, for crash recovery of a running campaign.
+// produced by its MarshalJSON, for crash recovery of a running campaign
+// under any scheme (older dense {matrix, counts, total} snapshots restore
+// too).
 func RestoreShardedCollector(data []byte, shards int) (*ShardedCollector, error) {
 	return collector.RestoreSharded(data, shards)
 }

@@ -30,12 +30,16 @@ var (
 	ErrBadMargin = errors.New("collector: margin must be a positive finite number")
 	// ErrWriterClosed reports ingestion through a Writer after Close.
 	ErrWriterClosed = errors.New("collector: writer is closed")
+	// ErrUnsupported reports a query the collector's scheme cannot answer:
+	// the Theorem-6 confidence queries need the dense matrix scheme.
+	ErrUnsupported = errors.New("collector: query not supported by this scheme")
 )
 
 // Collector accumulates disguised reports for one attribute and answers
 // distribution queries at any point during collection. It is not safe for
-// concurrent use; wrap it with a mutex (SafeCollector) or stripe it
-// (ShardedCollector) if multiple goroutines ingest.
+// concurrent use; use ShardedCollector if multiple goroutines ingest. It
+// stays as the serial public API and as the reference the sharded
+// collector's tests compare against bit for bit.
 //
 // Instrument attaches live metrics and structured trace events; a bare
 // collector carries no instrumentation and pays nothing for the hooks.
@@ -94,18 +98,24 @@ func (c *Collector) IngestBatch(reports []int) error {
 		c.ins.observeIngest(r)
 	}
 	c.total += len(reports)
-	c.ins.observeBatch(len(reports), c.total)
+	c.ins.observeBatch(len(reports), c.Count)
 	return nil
 }
 
 // Disguised returns the empirical distribution of the disguised reports.
 func (c *Collector) Disguised() ([]float64, error) {
-	if c.total == 0 {
+	return disguised(c.counts, c.total)
+}
+
+// disguised normalizes a counts view into the empirical distribution of the
+// reports; an empty view is ErrNoReports.
+func disguised(counts []int, total int) ([]float64, error) {
+	if total == 0 {
 		return nil, ErrNoReports
 	}
-	out := make([]float64, len(c.counts))
-	inv := 1 / float64(c.total)
-	for i, n := range c.counts {
+	out := make([]float64, len(counts))
+	inv := 1 / float64(total)
+	for i, n := range counts {
 		out[i] = float64(n) * inv
 	}
 	return out, nil

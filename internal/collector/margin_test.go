@@ -9,7 +9,7 @@ import (
 )
 
 // marginQuerier is the slice of the collector API the margin-projection
-// tests exercise, satisfied by every collector flavor.
+// tests exercise, satisfied by both collectors.
 type marginQuerier interface {
 	Ingest(int) error
 	Count() int
@@ -18,7 +18,7 @@ type marginQuerier interface {
 }
 
 // TestReportsForMarginEdgeCases pins the projection's contract on the edges
-// a long-lived server actually hits, for all collector flavors: a target the
+// a long-lived server actually hits, for both collectors: a target the
 // current collection already meets answers with the current total (never a
 // downward extrapolation), an empty collector is ErrNoReports (not a
 // division by zero), and non-positive or non-finite margins are ErrBadMargin
@@ -30,7 +30,6 @@ func TestReportsForMarginEdgeCases(t *testing.T) {
 		fresh func() marginQuerier
 	}{
 		{"plain", func() marginQuerier { return New(m) }},
-		{"safe", func() marginQuerier { return NewSafe(m) }},
 		{"sharded", func() marginQuerier { return NewSharded(m, 4) }},
 	}
 	for _, fl := range flavors {

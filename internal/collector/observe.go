@@ -36,10 +36,10 @@ func (c *Collector) Instrument(rec obs.Recorder, reg *obs.Registry) {
 	c.ins = newInstrumentation(rec, reg, len(c.counts))
 }
 
-// newInstrumentation builds the shared metric set for an n-category
-// collector. Collector and ShardedCollector both register under the same
-// metric names, so dashboards don't care which collector variant is behind
-// the campaign.
+// newInstrumentation builds the shared metric set with n per-category
+// series. Collector and ShardedCollector both register under the same
+// metric names, so dashboards don't care which collector is behind the
+// campaign.
 func newInstrumentation(rec obs.Recorder, reg *obs.Registry, n int) *instrumentation {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -62,9 +62,10 @@ func newInstrumentation(rec obs.Recorder, reg *obs.Registry, n int) *instrumenta
 }
 
 // observeIngest updates the per-report counters. The per-category counter is
-// bounds-guarded: the sketch collector registers no per-category series (its
-// report space is k·m sketch cells, not meaningful categories), so its
-// instrumentation has an empty perCat.
+// bounds-guarded: a collector over a non-dense scheme registers no
+// per-category series (its report space is encoded cells, such as k·m
+// sketch cells, not categories), so its instrumentation has an empty
+// perCat.
 func (ins *instrumentation) observeIngest(report int) {
 	if ins == nil {
 		return
@@ -84,8 +85,10 @@ func (ins *instrumentation) observeBad() {
 }
 
 // observeBatch updates the batch counters and emits a "collector.batch"
-// event.
-func (ins *instrumentation) observeBatch(size, total int) {
+// event. total is called only when the recorder is enabled: on the sharded
+// collector it takes every shard lock and folds every cell, a cost nobody
+// should pay for an event that is not recorded.
+func (ins *instrumentation) observeBatch(size int, total func() int) {
 	if ins == nil {
 		return
 	}
@@ -94,7 +97,7 @@ func (ins *instrumentation) observeBatch(size, total int) {
 	if ins.rec.Enabled() {
 		ins.rec.Record("collector.batch", obs.Fields{
 			"size":  size,
-			"total": total,
+			"total": total(),
 		})
 	}
 }

@@ -107,7 +107,9 @@ func TestInstrumentNilRegistryStillWorks(t *testing.T) {
 
 // TestUninstrumentedAndNopIngestAllocations guards the zero-overhead claim:
 // neither a bare collector nor one instrumented with a no-op recorder may
-// allocate on the per-report hot path.
+// allocate on the per-report hot path, and a sharded batch instrumented the
+// way rrserver runs it (registry plus no-op recorder) must not fold the
+// shards for a batch event nobody records.
 func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 	m, err := rr.Warner(4, 0.7)
 	if err != nil {
@@ -130,5 +132,16 @@ func TestUninstrumentedAndNopIngestAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("nop-instrumented Ingest allocated %v times per run, want 0", n)
+	}
+
+	sharded := NewSharded(m, 4)
+	sharded.Instrument(obs.Nop, obs.NewRegistry())
+	batch := []int{0, 3, 1, 2, 2, 1}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := sharded.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("nop-instrumented sharded IngestBatch allocated %v times per run, want 0", n)
 	}
 }

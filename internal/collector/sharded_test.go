@@ -4,27 +4,32 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
+	"optrr/internal/obs"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
+	"optrr/internal/sketch"
 )
 
 // TestShardedMatchesSafeExactly pins the headline equivalence claim: a
-// ShardedCollector and a SafeCollector fed the identical report stream give
-// bit-for-bit identical answers to every query — both reconstruct through
-// the same cached factorization of the same matrix over the same folded
-// counts, so no tolerance is needed.
+// ShardedCollector and the serial reference Collector fed the identical
+// report stream give bit-for-bit identical answers to every query — both
+// reconstruct through the same cached factorization of the same matrix over
+// the same folded counts, so no tolerance is needed.
 func TestShardedMatchesSafeExactly(t *testing.T) {
 	m := mustWarner(t, 5, 0.7)
-	safe := NewSafe(m)
+	serial := New(m)
 	sharded := NewSharded(m, 8)
 
 	rng := randx.New(42)
 	for i := 0; i < 5000; i++ {
 		r := rng.Intn(5)
-		if err := safe.Ingest(r); err != nil {
+		if err := serial.Ingest(r); err != nil {
 			t.Fatal(err)
 		}
 		if err := sharded.Ingest(r); err != nil {
@@ -35,17 +40,17 @@ func TestShardedMatchesSafeExactly(t *testing.T) {
 	for j := range batch {
 		batch[j] = rng.Intn(5)
 	}
-	if err := safe.IngestBatch(batch); err != nil {
+	if err := serial.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := sharded.IngestBatch(batch); err != nil {
 		t.Fatal(err)
 	}
 
-	if safe.Count() != sharded.Count() {
-		t.Fatalf("count: safe %d, sharded %d", safe.Count(), sharded.Count())
+	if serial.Count() != sharded.Count() {
+		t.Fatalf("count: serial %d, sharded %d", serial.Count(), sharded.Count())
 	}
-	wantEst, err := safe.Estimate()
+	wantEst, err := serial.Estimate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +60,10 @@ func TestShardedMatchesSafeExactly(t *testing.T) {
 	}
 	for k := range wantEst {
 		if wantEst[k] != gotEst[k] {
-			t.Fatalf("estimate[%d]: safe %v, sharded %v (must match exactly)", k, wantEst[k], gotEst[k])
+			t.Fatalf("estimate[%d]: serial %v, sharded %v (must match exactly)", k, wantEst[k], gotEst[k])
 		}
 	}
-	wantSum, err := safe.Snapshot(1.96)
+	wantSum, err := serial.Snapshot(1.96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func TestShardedMatchesSafeExactly(t *testing.T) {
 			t.Fatalf("snapshot half-width[%d]: %v vs %v", k, wantSum.HalfWidth[k], gotSum.HalfWidth[k])
 		}
 	}
-	wantMargin, err := safe.MarginOfError(1.96)
+	wantMargin, err := serial.MarginOfError(1.96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +93,7 @@ func TestShardedMatchesSafeExactly(t *testing.T) {
 	if wantMargin != gotMargin {
 		t.Fatalf("margin: %v vs %v", wantMargin, gotMargin)
 	}
-	wantNeed, err := safe.ReportsForMargin(0.005, 1.96)
+	wantNeed, err := serial.ReportsForMargin(0.005, 1.96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +370,11 @@ func TestWritersSpreadAcrossShards(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectorContention compares SafeCollector's single mutex with
-// the sharded atomic counters under 1-, 4- and 16-goroutine ingestion, plus
-// a buffered-Writer batch-ingest case driven through b.RunParallel. Reports
-// are pregenerated outside the timer; each goroutine ingests a disjoint
-// slice.
+// BenchmarkCollectorContention measures the sharded atomic counters under
+// 1-, 4- and 16-goroutine ingestion, bare and instrumented the way rrserver
+// runs it (a metrics registry and a no-op recorder), plus a buffered-Writer
+// batch-ingest case driven through b.RunParallel. Reports are pregenerated
+// outside the timer; each goroutine ingests a disjoint slice.
 func BenchmarkCollectorContention(b *testing.B) {
 	m, err := rr.Warner(5, 0.75)
 	if err != nil {
@@ -404,8 +409,10 @@ func BenchmarkCollectorContention(b *testing.B) {
 		wg.Wait()
 	}
 	for _, g := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("safe/g%d", g), func(b *testing.B) {
-			run(b, NewSafe(m), g)
+		b.Run(fmt.Sprintf("instrumented/g%d", g), func(b *testing.B) {
+			c := NewSharded(m, 16)
+			c.Instrument(obs.Nop, obs.NewRegistry())
+			run(b, c, g)
 		})
 		b.Run(fmt.Sprintf("sharded/g%d", g), func(b *testing.B) {
 			run(b, NewSharded(m, 16), g)
@@ -428,4 +435,128 @@ func BenchmarkCollectorContention(b *testing.B) {
 			w.Flush()
 		})
 	})
+}
+
+// TestRestoreShardedLegacyFixtures restores committed snapshot files — a
+// dense one in the older {matrix, counts, total} form and a sketch one in
+// the {scheme, counts, total} envelope — to exactly the recorded counts, and
+// checks a re-marshaled snapshot restores to the same counts again.
+func TestRestoreShardedLegacyFixtures(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		kind string
+	}{
+		{"snapshot_dense_matrix.json", rr.DenseKind},
+		{"snapshot_sketch.json", sketch.Kind},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want struct {
+				Counts []int `json:"counts"`
+				Total  int   `json:"total"`
+			}
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			c, err := RestoreSharded(data, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Scheme().Kind() != tc.kind || c.Count() != want.Total {
+				t.Fatalf("restored a %q scheme with %d reports, want %q with %d",
+					c.Scheme().Kind(), c.Count(), tc.kind, want.Total)
+			}
+			again, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := RestoreSharded(again, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range [][]int{c.Counts(), back.Counts()} {
+				if len(got) != len(want.Counts) {
+					t.Fatalf("%d counts, fixture has %d", len(got), len(want.Counts))
+				}
+				for k := range want.Counts {
+					if got[k] != want.Counts[k] {
+						t.Fatalf("counts[%d] = %d, fixture has %d", k, got[k], want.Counts[k])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardedDenseQueries: point estimates on the dense scheme are selected
+// from the full-domain reconstruction bit for bit, and the heavy-hitter scan
+// filters the clipped reconstruction Snapshot publishes.
+func TestShardedDenseQueries(t *testing.T) {
+	m := mustWarner(t, 5, 0.7)
+	c := NewSharded(m, 4)
+	rng := randx.New(8)
+	for i := 0; i < 3000; i++ {
+		if err := c.Ingest(min(rng.Intn(8), 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full, err := c.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	point, err := c.Estimate(4, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if point[0] != full[4] || point[1] != full[0] || point[2] != full[4] {
+		t.Fatalf("point estimates %v are not selected from %v", point, full)
+	}
+	if _, err := c.Estimate(5); !errors.Is(err, rr.ErrShape) {
+		t.Fatalf("out-of-domain category err = %v, want rr.ErrShape", err)
+	}
+
+	sum, err := c.Snapshot(1.96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, err := c.HeavyHitters(0.15, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []HeavyHitter
+	for x, e := range sum.Estimate {
+		if e >= 0.15 {
+			want = append(want, HeavyHitter{Category: x, Estimate: e})
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Estimate > want[j].Estimate })
+	if len(hits) == 0 || fmt.Sprint(hits) != fmt.Sprint(want) {
+		t.Fatalf("heavy hitters %v, want %v", hits, want)
+	}
+}
+
+// TestShardedSketchRejectsDenseOnlyQueries: the Theorem-6 queries need the
+// dense scheme's closed-form variance; on a sketch they are ErrUnsupported,
+// never a wrong answer, while ingestion and point queries work.
+func TestShardedSketchRejectsDenseOnlyQueries(t *testing.T) {
+	s := testCMS(t, 1000, 4, 16)
+	c := NewSharded(s, 2)
+	if err := c.IngestBatch(sketchReports(t, s, 500, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Snapshot(1.96); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Snapshot err = %v, want ErrUnsupported", err)
+	}
+	if _, err := c.MarginOfError(1.96); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("MarginOfError err = %v, want ErrUnsupported", err)
+	}
+	if _, err := c.ReportsForMargin(0.01, 1.96); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("ReportsForMargin err = %v, want ErrUnsupported", err)
+	}
+	if _, err := c.Estimate(0, 999); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -7,10 +7,9 @@ import (
 	"unsafe"
 )
 
-// shardSet is the cache-line-padded striped counter core shared by
-// ShardedCollector (dense reports, width = category count) and
-// SketchCollector (sketch reports, width = k·m report space): a power-of-two
-// set of shards, each a row of atomic counters plus the mutex that makes
+// shardSet is the cache-line-padded striped counter core of
+// ShardedCollector, width = the scheme's report space (the category count
+// for the dense matrix, k·m for the sketch): a power-of-two set of shards, each a row of atomic counters plus the mutex that makes
 // batch-style writes atomic with respect to queries. Goroutines map onto
 // shards by stack address, so a steady ingester keeps hitting the same shard
 // and never bounces a foreign cache line.

@@ -57,20 +57,16 @@ func (sv *solver) estimate(pStar []float64) ([]float64, error) {
 
 // distributions derives the disguised and reconstructed (clipped)
 // distributions from a point-in-time counts view.
-func (sv *solver) distributions(counts []int, total int) (disguised, est []float64, err error) {
-	if total == 0 {
-		return nil, nil, ErrNoReports
-	}
-	disguised = make([]float64, len(counts))
-	inv := 1 / float64(total)
-	for i, n := range counts {
-		disguised[i] = float64(n) * inv
-	}
-	raw, err := sv.estimate(disguised)
+func (sv *solver) distributions(counts []int, total int) (pStar, est []float64, err error) {
+	pStar, err = disguised(counts, total)
 	if err != nil {
 		return nil, nil, err
 	}
-	return disguised, rr.Clip(raw), nil
+	raw, err := sv.estimate(pStar)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pStar, rr.Clip(raw), nil
 }
 
 // summarize builds the Summary for a point-in-time counts/total view.
@@ -83,7 +79,7 @@ func summarize(sv *solver, counts []int, total int, z float64) (Summary, error) 
 	if !(z > 0) || math.IsInf(z, 1) {
 		return Summary{}, fmt.Errorf("collector: z must be a positive finite number, got %v", z)
 	}
-	disguised, est, err := sv.distributions(counts, total)
+	pStar, est, err := sv.distributions(counts, total)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -99,7 +95,7 @@ func summarize(sv *solver, counts []int, total int, z float64) (Summary, error) 
 	}
 	return Summary{
 		Reports:   total,
-		Disguised: disguised,
+		Disguised: pStar,
 		Estimate:  est,
 		HalfWidth: half,
 		Z:         z,

@@ -1,9 +1,7 @@
 package collector
 
-import "fmt"
-
 // Writer is a per-goroutine ingestion front for a ShardedCollector: reports
-// accumulate in a goroutine-local per-category buffer and flush to the
+// accumulate in a goroutine-local per-report-cell buffer and flush to the
 // collector's shards in batches, so a high-rate ingester pays one shard
 // mutex acquisition per flushEvery reports instead of one shared-memory
 // write per report. Each Writer is pinned to one shard at construction
@@ -26,7 +24,7 @@ import "fmt"
 type Writer struct {
 	c       *ShardedCollector
 	sh      *shard
-	pending []int // per-category buffered counts
+	pending []int // per-report-cell buffered counts
 	n       int   // buffered reports
 	limit   int   // flush threshold
 	closed  bool
@@ -43,12 +41,12 @@ func (c *ShardedCollector) NewWriter(flushEvery int) *Writer {
 	return &Writer{
 		c:       c,
 		sh:      &c.set.shards[idx],
-		pending: make([]int, c.m.N()),
+		pending: make([]int, c.set.width),
 		limit:   flushEvery,
 	}
 }
 
-// Ingest buffers one disguised report, flushing when the buffer reaches the
+// Ingest buffers one encoded report, flushing when the buffer reaches the
 // writer's threshold. Validation happens here, so a bad report is reported
 // immediately and never contaminates a flush. A returned flush error means
 // the report (and the rest of the buffer) is still buffered, not lost.
@@ -59,8 +57,7 @@ func (w *Writer) Ingest(report int) error {
 		if w.closed {
 			return ErrWriterClosed
 		}
-		w.c.ins.observeBad()
-		return fmt.Errorf("%w: %d of %d categories", ErrBadReport, report, len(w.pending))
+		return w.c.badReport(report)
 	}
 	w.pending[report]++
 	w.n++
@@ -95,9 +92,7 @@ func (w *Writer) Flush() error {
 		w.pending[k] = 0
 	}
 	w.n = 0
-	if w.c.ins != nil {
-		w.c.ins.observeBatch(flushed, w.c.Count())
-	}
+	w.c.ins.observeBatch(flushed, w.c.Count)
 	return nil
 }
 

@@ -14,7 +14,7 @@ import (
 // full domain-sized estimate vector unless the caller asks for one.
 
 // FrequencyEstimator answers debiased point queries over an original
-// categorical domain. collector.SketchCollector implements it; any source of
+// categorical domain. collector.ShardedCollector implements it; any source of
 // per-category frequency estimates (a remote /v1/estimate endpoint, a test
 // fake) can stand in.
 type FrequencyEstimator interface {

@@ -135,7 +135,7 @@ func TestHeavyHittersOverSketch(t *testing.T) {
 	if err := s.DisguiseBatchInto(reports, records, 9, 0); err != nil {
 		t.Fatal(err)
 	}
-	col := collector.NewSketch(s, 4)
+	col := collector.NewSharded(s, 4)
 	if err := col.IngestBatch(reports); err != nil {
 		t.Fatal(err)
 	}

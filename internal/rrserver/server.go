@@ -1,39 +1,45 @@
 // Package rrserver implements the LDP collection service behind cmd/rrserver:
-// an HTTP/JSON front over a sharded collector, realizing the paper's
-// Section I deployment literally — a fleet of respondents disguises locally
-// (internal/rrclient) and POSTs only disguised category indices; this server
-// aggregates them and inverts the disguise matrix on demand to answer
-// distribution queries with confidence half-widths.
+// an HTTP/JSON front over one collector.ShardedCollector, realizing the
+// paper's Section I deployment literally — a fleet of respondents disguises
+// locally (internal/rrclient) and POSTs only encoded reports; this server
+// aggregates them and debiases on demand to answer distribution queries with
+// confidence half-widths.
 //
 // Endpoints (mounted on an obs debug server via obs.ServeMux, so /metrics,
 // /healthz, expvar and pprof ride along):
 //
-//	POST /v1/report       {"report": k}        ingest one disguised report
+//	POST /v1/report       {"report": k}        ingest one encoded report
 //	POST /v1/reports      {"reports": [k...]}  ingest a batch atomically
 //	GET  /v1/estimate     debiased estimate + confidence half-widths;
-//	                      ?z= overrides the quantile. Dense mode returns the
-//	                      full domain and supports ?margin= (projected report
-//	                      count to reach the target). Sketch mode answers
-//	                      point queries only: ?categories=3,17,42 is required
-//	                      and ?margin= is rejected.
+//	                      ?z= overrides the quantile. A dense matrix scheme
+//	                      returns the full domain and supports ?margin=
+//	                      (projected report count to reach the target).
+//	                      Other schemes answer point queries only:
+//	                      ?categories=3,17,42 is required and ?margin= is
+//	                      rejected.
 //	GET  /v1/scheme       the deployed disguise scheme (clients sample
 //	                      locally); ETagged with the scheme version, so
 //	                      If-None-Match polling is a 304 until redeployment
 //	GET  /v1/heavyhitters ?threshold= (required) frequency floor, ?limit=
 //	                      caps the result; scans the original domain
 //
-// The service is generic over rr.Scheme. A dense *rr.Matrix deployment
-// behaves exactly as before (full-domain estimates from a ShardedCollector);
-// a sketch scheme (internal/sketch) aggregates into the O(k·m)
-// SketchCollector, decoupling server memory from the domain size, and serves
-// point queries and heavy-hitter scans instead of dense reconstructions.
+// The service is generic over rr.Scheme: one collector, one snapshot format
+// and one recovery path serve a dense *rr.Matrix and a count-mean sketch
+// (internal/sketch) alike, the sketch keeping server memory independent of
+// the domain size. Apart from the legacy matrix field of /v1/scheme, the
+// only scheme-dependent branch is /v1/estimate: the dense scheme's
+// closed-form variance (Theorem 6) backs full-domain estimates and margin
+// projections, which the collector refuses with collector.ErrUnsupported
+// for any other scheme.
+//
+// Request bodies are capped before they are decoded, at a size derived from
+// MaxBatch; a larger body is refused with 413 and ingests nothing.
 //
 // The server periodically persists a JSON snapshot of the collection state
 // and restores it at boot; a corrupt or mismatched snapshot is rejected by
-// the typed validation in RestoreSharded/RestoreSketch (sketch snapshots
-// embed the scheme envelope, compared by wire fingerprint) and the server
-// falls back to a fresh collector with a logged warning rather than serving
-// poisoned estimates.
+// the typed validation in collector.RestoreSharded and the scheme
+// fingerprint check of Merge, and the server falls back to a fresh
+// collector with a logged warning rather than serving poisoned estimates.
 package rrserver
 
 import (
@@ -45,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -65,16 +70,20 @@ const DefaultZ = 1.96
 // bounds both memory per request and the longest write a query can wait on.
 const DefaultMaxBatch = 1 << 17
 
+// The request body limit is MaxBatch·bytesPerReport + bodyOverhead bytes:
+// room for MaxBatch of the widest JSON integers, each with a separator and
+// some whitespace, inside the enclosing object.
+const (
+	bytesPerReport = 24
+	bodyOverhead   = 1 << 10
+)
+
 // Config parameterizes a collection service.
 type Config struct {
-	// Scheme is the deployed disguise scheme: a dense *rr.Matrix for
-	// classic full-domain collection or a sketch scheme for large domains.
-	// When nil, Matrix is used.
+	// Scheme is the deployed disguise scheme (required): a dense
+	// *rr.Matrix for classic full-domain collection or a sketch scheme for
+	// large domains.
 	Scheme rr.Scheme
-	// Matrix is the deployed dense disguise matrix — the pre-Scheme form of
-	// the same knob, kept so existing callers compile unchanged. Ignored
-	// when Scheme is set. One of the two is required.
-	Matrix *rr.Matrix
 	// Shards is the collector shard count (<= 0 picks the GOMAXPROCS
 	// default).
 	Shards int
@@ -87,7 +96,7 @@ type Config struct {
 	// SnapshotEvery is the persistence period (0 means 30s).
 	SnapshotEvery time.Duration
 	// MaxBatch caps the reports accepted in one POST /v1/reports
-	// (0 means DefaultMaxBatch).
+	// (0 means DefaultMaxBatch) and sizes the request body limit.
 	MaxBatch int
 	// Recorder receives collector and server trace events; nil records
 	// nothing.
@@ -104,12 +113,10 @@ type Config struct {
 // persistence loop with Run.
 type Server struct {
 	cfg       Config
-	scheme    rr.Scheme
-	schemeEnv json.RawMessage             // kind-tagged envelope, marshaled once
-	version   string                      // rr.SchemeVersion fingerprint, doubles as the ETag
-	col       *collector.ShardedCollector // dense mode only
-	skcol     *collector.SketchCollector  // sketch mode only
-	ing       ingester                    // whichever of the two is live
+	schemeEnv json.RawMessage // kind-tagged envelope, marshaled once
+	version   string          // rr.SchemeVersion fingerprint, doubles as the ETag
+	maxBody   int64           // request body limit in bytes
+	col       *collector.ShardedCollector
 	rec       obs.Recorder
 	logf      func(string, ...any)
 	restored  bool
@@ -121,20 +128,11 @@ type Server struct {
 	snapshotSize *obs.Gauge     // rrserver.snapshot_bytes
 }
 
-// ingester is the slice of the collector surface the hot handlers need; both
-// ShardedCollector and SketchCollector satisfy it (and both marshal their
-// snapshot form through json.Marshal).
-type ingester interface {
-	Ingest(report int) error
-	IngestBatch(reports []int) error
-	Count() int
-}
-
 // boundedEstimator is the optional scheme capability of attaching
 // distribution-free confidence half-widths to sketch point queries
 // (implemented by sketch.CMSScheme). The server stays decoupled from the
 // sketch package; any scheme exposing the method gets half-widths on
-// /v1/estimate.
+// point-query /v1/estimate answers.
 type boundedEstimator interface {
 	EstimateWithBound(counts []int, categories []int, z, ell2 float64) ([]float64, []float64, error)
 }
@@ -147,15 +145,7 @@ type boundedEstimator interface {
 // starts fresh.
 func New(cfg Config) (*Server, error) {
 	if cfg.Scheme == nil {
-		if cfg.Matrix == nil {
-			return nil, fmt.Errorf("rrserver: config needs a disguise scheme")
-		}
-		cfg.Scheme = cfg.Matrix
-	}
-	if m, ok := cfg.Scheme.(*rr.Matrix); ok {
-		cfg.Matrix = m // keep the legacy field coherent for handleScheme
-	} else {
-		cfg.Matrix = nil
+		return nil, fmt.Errorf("rrserver: config needs a disguise scheme")
 	}
 	if cfg.Z == 0 {
 		cfg.Z = DefaultZ
@@ -182,9 +172,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		scheme:    cfg.Scheme,
 		schemeEnv: env,
 		version:   version,
+		maxBody:   int64(cfg.MaxBatch)*bytesPerReport + bodyOverhead,
 		rec:       obs.OrNop(cfg.Recorder),
 		logf:      cfg.Logf,
 		ingestLat: cfg.Registry.Histogram("rrserver.ingest_ns",
@@ -197,25 +187,13 @@ func New(cfg Config) (*Server, error) {
 	if s.logf == nil {
 		s.logf = log.Printf
 	}
-	if cfg.Matrix != nil {
-		if cfg.SnapshotPath != "" {
-			s.col = s.recover(cfg.SnapshotPath)
-		}
-		if s.col == nil {
-			s.col = collector.NewSharded(cfg.Matrix, cfg.Shards)
-		}
-		s.col.Instrument(cfg.Recorder, cfg.Registry)
-		s.ing = s.col
-	} else {
-		if cfg.SnapshotPath != "" {
-			s.skcol = s.recoverSketch(cfg.SnapshotPath)
-		}
-		if s.skcol == nil {
-			s.skcol = collector.NewSketch(cfg.Scheme, cfg.Shards)
-		}
-		s.skcol.Instrument(cfg.Recorder, cfg.Registry)
-		s.ing = s.skcol
+	if cfg.SnapshotPath != "" {
+		s.col = s.recover(cfg.SnapshotPath)
 	}
+	if s.col == nil {
+		s.col = collector.NewSharded(cfg.Scheme, cfg.Shards)
+	}
+	s.col.Instrument(cfg.Recorder, cfg.Registry)
 	return s, nil
 }
 
@@ -235,42 +213,12 @@ func (s *Server) recover(path string) *collector.ShardedCollector {
 		s.logf("rrserver: snapshot %s rejected (%v); starting fresh", path, err)
 		return nil
 	}
-	if got, want := col.Categories(), s.cfg.Matrix.N(); got != want {
-		s.logf("rrserver: snapshot %s has %d categories, deployed scheme has %d; starting fresh", path, got, want)
-		return nil
-	}
-	// Rebuild on the deployed matrix and fold the snapshot's counts in via
-	// Merge, which re-checks the matrix entry by entry: a snapshot collected
-	// under a different (same-sized) scheme is rejected here — its reports
-	// were disguised with other probabilities and would bias every estimate.
-	fresh := collector.NewSharded(s.cfg.Matrix, s.cfg.Shards)
-	if err := fresh.Merge(col); err != nil {
-		s.logf("rrserver: snapshot %s was collected under a different disguise matrix (%v); starting fresh", path, err)
-		return nil
-	}
-	s.restored = true
-	s.logf("rrserver: restored %d reports from %s", fresh.Count(), path)
-	return fresh
-}
-
-// recoverSketch is recover for sketch mode: RestoreSketch validates counts
-// and scheme envelope; Merge onto the deployed scheme re-checks the wire
-// fingerprint, so a snapshot collected under a different hash family or
-// inner matrix is refused.
-func (s *Server) recoverSketch(path string) *collector.SketchCollector {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.logf("rrserver: reading snapshot %s: %v; starting fresh", path, err)
-		}
-		return nil
-	}
-	col, err := collector.RestoreSketch(data, s.cfg.Shards)
-	if err != nil {
-		s.logf("rrserver: snapshot %s rejected (%v); starting fresh", path, err)
-		return nil
-	}
-	fresh := collector.NewSketch(s.scheme, s.cfg.Shards)
+	// Rebuild on the deployed scheme and fold the snapshot's counts in via
+	// Merge, which compares the scheme fingerprints: a snapshot collected
+	// under a different matrix or hash family is rejected here — its
+	// reports were encoded with other probabilities and would bias every
+	// estimate.
+	fresh := collector.NewSharded(s.cfg.Scheme, s.cfg.Shards)
 	if err := fresh.Merge(col); err != nil {
 		s.logf("rrserver: snapshot %s was collected under a different scheme (%v); starting fresh", path, err)
 		return nil
@@ -283,27 +231,22 @@ func (s *Server) recoverSketch(path string) *collector.SketchCollector {
 // Restored reports whether construction recovered state from a snapshot.
 func (s *Server) Restored() bool { return s.restored }
 
-// Collector exposes the underlying sharded collector (e.g. for tests and
-// the in-process load driver). It is nil for a sketch deployment; see
-// SketchCollector.
+// Collector exposes the underlying collector (e.g. for tests and the
+// in-process load driver).
 func (s *Server) Collector() *collector.ShardedCollector { return s.col }
 
-// SketchCollector exposes the underlying sketch collector; nil for a dense
-// deployment.
-func (s *Server) SketchCollector() *collector.SketchCollector { return s.skcol }
-
 // Scheme returns the deployed disguise scheme.
-func (s *Server) Scheme() rr.Scheme { return s.scheme }
+func (s *Server) Scheme() rr.Scheme { return s.cfg.Scheme }
 
 // SchemeVersion returns the deployed scheme's wire fingerprint — the value
 // GET /v1/scheme serves as its ETag.
 func (s *Server) SchemeVersion() string { return s.version }
 
-// Count returns the number of reports ingested so far, in either mode.
-func (s *Server) Count() int { return s.ing.Count() }
+// Count returns the number of reports ingested so far.
+func (s *Server) Count() int { return s.col.Count() }
 
 // Categories returns the original-domain size of the deployed scheme.
-func (s *Server) Categories() int { return s.scheme.Domain() }
+func (s *Server) Categories() int { return s.cfg.Scheme.Domain() }
 
 // Z returns the configured confidence quantile.
 func (s *Server) Z() float64 { return s.cfg.Z }
@@ -351,7 +294,7 @@ func (s *Server) SnapshotNow() error {
 		return nil
 	}
 	start := time.Now()
-	data, err := json.Marshal(s.ing)
+	data, err := json.Marshal(s.col)
 	if err != nil {
 		s.snapshotErrs.Inc()
 		return fmt.Errorf("rrserver: marshaling snapshot: %w", err)
@@ -382,7 +325,7 @@ func (s *Server) SnapshotNow() error {
 	s.snapshotSize.Set(float64(len(data)))
 	if s.rec.Enabled() {
 		s.rec.Record("rrserver.snapshot", obs.Fields{
-			"reports": s.ing.Count(),
+			"reports": s.col.Count(),
 			"bytes":   len(data),
 			"ms":      float64(time.Since(start).Microseconds()) / 1e3,
 		})
@@ -390,15 +333,31 @@ func (s *Server) SnapshotNow() error {
 	return nil
 }
 
-// handleReport ingests one disguised report.
+// decodeBody decodes a JSON request body of at most s.maxBody bytes into v,
+// answering 413 for a larger body and 400 for a malformed one.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
+	default:
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err))
+	}
+	return false
+}
+
+// handleReport ingests one encoded report.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req rrapi.ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := s.ing.Ingest(req.Report); err != nil {
+	if err := s.col.Ingest(req.Report); err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
 	}
@@ -406,12 +365,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, rrapi.IngestResponse{Accepted: 1})
 }
 
-// handleBatch ingests a batch of disguised reports atomically.
+// handleBatch ingests a batch of encoded reports atomically.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req rrapi.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Reports) > s.cfg.MaxBatch {
@@ -420,7 +378,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Reports) > 0 {
-		if err := s.ing.IngestBatch(req.Reports); err != nil {
+		if err := s.col.IngestBatch(req.Reports); err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
 		}
@@ -430,11 +388,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEstimate serves the current reconstruction with confidence
-// half-widths; ?z= overrides the quantile. Dense mode returns the full
+// half-widths; ?z= overrides the quantile. A dense scheme returns the full
 // domain and supports ?margin= (projected report count needed to shrink the
-// worst half-width to the target); sketch mode answers ?categories= point
-// queries only — a full-domain response over a million-category sketch would
-// be exactly the dense payload the sketch exists to avoid.
+// worst half-width to the target); any scheme the collector has no Snapshot
+// for answers ?categories= point queries only — a full-domain response over
+// a million-category sketch would be exactly the dense payload the sketch
+// exists to avoid.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	z := s.cfg.Z
 	if raw := r.URL.Query().Get("z"); raw != "" {
@@ -445,11 +404,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 		z = v
 	}
-	if s.skcol != nil {
-		s.handleSketchEstimate(w, r, z)
+	sum, err := s.col.Snapshot(z)
+	if errors.Is(err, collector.ErrUnsupported) {
+		s.handlePointEstimate(w, r, z)
 		return
 	}
-	sum, err := s.col.Snapshot(z)
 	if err != nil {
 		s.writeError(w, statusFor(err), err)
 		return
@@ -482,11 +441,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleSketchEstimate answers point queries over the sketch: debiased
-// frequency estimates for the requested categories, with distribution-free
-// half-widths when the scheme can provide them (boundedEstimator, at the
-// worst-case ℓ² mass of 1).
-func (s *Server) handleSketchEstimate(w http.ResponseWriter, r *http.Request, z float64) {
+// handlePointEstimate answers point queries: debiased frequency estimates
+// for the requested categories, with distribution-free half-widths when the
+// scheme can provide them (boundedEstimator, at the worst-case ℓ² mass of
+// 1).
+func (s *Server) handlePointEstimate(w http.ResponseWriter, r *http.Request, z float64) {
 	if r.URL.Query().Get("margin") != "" {
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Errorf("margin projection is not supported for sketch schemes"))
@@ -498,12 +457,12 @@ func (s *Server) handleSketchEstimate(w http.ResponseWriter, r *http.Request, z 
 			fmt.Errorf("sketch estimates are point queries: pass ?categories=i,j,... or use /v1/heavyhitters"))
 		return
 	}
-	cats, err := parseCategories(rawCats, s.scheme.Domain())
+	cats, err := parseCategories(rawCats, s.cfg.Scheme.Domain())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	counts := s.skcol.Counts()
+	counts := s.col.Counts()
 	total := 0
 	for _, v := range counts {
 		total += v
@@ -513,7 +472,7 @@ func (s *Server) handleSketchEstimate(w http.ResponseWriter, r *http.Request, z 
 		return
 	}
 	resp := rrapi.EstimateResponse{Reports: total, Categories: cats, Z: z}
-	if be, ok := s.scheme.(boundedEstimator); ok {
+	if be, ok := s.cfg.Scheme.(boundedEstimator); ok {
 		ests, bounds, err := be.EstimateWithBound(counts, cats, z, 1)
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
@@ -526,7 +485,7 @@ func (s *Server) handleSketchEstimate(w http.ResponseWriter, r *http.Request, z 
 			}
 		}
 	} else {
-		ests, err := s.scheme.EstimateFrom(counts, cats)
+		ests, err := s.cfg.Scheme.EstimateFrom(counts, cats)
 		if err != nil {
 			s.writeError(w, statusFor(err), err)
 			return
@@ -563,9 +522,9 @@ func parseCategories(raw string, domain int) ([]int, error) {
 
 // handleHeavyHitters scans the original domain for categories whose debiased
 // frequency estimate clears ?threshold=, sorted by estimate descending;
-// ?limit= caps the result. Works in both modes — over the sketch it is the
-// paper-motivating query (frequent categories without a dense reconstruction);
-// over the dense collector it filters the clipped full-domain estimate.
+// ?limit= caps the result. Over a sketch it is the paper-motivating query
+// (frequent categories without a dense reconstruction); over a dense matrix
+// it filters the clipped full-domain estimate.
 func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 	rawThr := r.URL.Query().Get("threshold")
 	if rawThr == "" {
@@ -585,39 +544,18 @@ func (s *Server) handleHeavyHitters(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	resp := rrapi.HeavyHittersResponse{Threshold: threshold}
-	if s.skcol != nil {
-		hits, err := s.skcol.HeavyHitters(threshold, limit)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Reports = s.skcol.Count()
-		resp.Hits = make([]rrapi.HeavyHitter, len(hits))
-		for i, h := range hits {
-			resp.Hits[i] = rrapi.HeavyHitter{Category: h.Category, Estimate: h.Estimate}
-		}
-	} else {
-		sum, err := s.col.Snapshot(s.cfg.Z)
-		if err != nil {
-			s.writeError(w, statusFor(err), err)
-			return
-		}
-		resp.Reports = sum.Reports
-		for x, e := range sum.Estimate {
-			if e >= threshold {
-				resp.Hits = append(resp.Hits, rrapi.HeavyHitter{Category: x, Estimate: e})
-			}
-		}
-		sort.Slice(resp.Hits, func(i, j int) bool {
-			if resp.Hits[i].Estimate != resp.Hits[j].Estimate {
-				return resp.Hits[i].Estimate > resp.Hits[j].Estimate
-			}
-			return resp.Hits[i].Category < resp.Hits[j].Category
-		})
-		if limit > 0 && len(resp.Hits) > limit {
-			resp.Hits = resp.Hits[:limit]
-		}
+	hits, err := s.col.HeavyHitters(threshold, limit)
+	if err != nil {
+		s.writeError(w, statusFor(err), err)
+		return
+	}
+	resp := rrapi.HeavyHittersResponse{
+		Reports:   s.col.Count(),
+		Threshold: threshold,
+		Hits:      make([]rrapi.HeavyHitter, len(hits)),
+	}
+	for i, h := range hits {
+		resp.Hits[i] = rrapi.HeavyHitter{Category: h.Category, Estimate: h.Estimate}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -634,11 +572,12 @@ func (s *Server) handleScheme(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	legacy, _ := s.cfg.Scheme.(*rr.Matrix)
 	s.writeJSON(w, http.StatusOK, rrapi.SchemeResponse{
-		Kind:    s.scheme.Kind(),
+		Kind:    s.cfg.Scheme.Kind(),
 		Scheme:  s.schemeEnv,
 		Version: s.version,
-		Matrix:  s.cfg.Matrix,
+		Matrix:  legacy,
 		Z:       s.cfg.Z,
 	})
 }

@@ -61,7 +61,7 @@ func TestServerEndToEnd(t *testing.T) {
 	// check holds with headroom; the default 1.96 leaves ~23% odds that
 	// some category strays outside its own interval.
 	const z = 3.29
-	srv, _, base := startService(t, Config{Matrix: m, Registry: reg, Z: z})
+	srv, _, base := startService(t, Config{Scheme: m, Registry: reg, Z: z})
 
 	prior := []float64{0.35, 0.25, 0.2, 0.15, 0.05}
 	alias, err := randx.NewAlias(prior)
@@ -127,10 +127,10 @@ func TestServerEndToEnd(t *testing.T) {
 
 // TestServerErrorPaths pins the HTTP status contract: malformed and
 // out-of-range reports are 400 with batch atomicity intact, an estimate
-// before any ingestion is 409, a bad margin target is 400, and a wrong
-// method is 405.
+// before any ingestion is 409, a bad margin target is 400, a wrong method
+// is 405, and an oversized batch or body is 413 and ingests nothing.
 func TestServerErrorPaths(t *testing.T) {
-	srv, _, base := startService(t, Config{Matrix: mustWarner(t, 3, 0.8)})
+	srv, _, base := startService(t, Config{Scheme: mustWarner(t, 3, 0.8)})
 
 	post := func(path, body string) (int, string) {
 		t.Helper()
@@ -184,7 +184,7 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatalf("GET on ingest route: %d, want 405", code)
 	}
 	// Oversized batch is refused before touching the collector.
-	srv2, _, base2 := startService(t, Config{Matrix: mustWarner(t, 3, 0.8), MaxBatch: 2})
+	srv2, _, base2 := startService(t, Config{Scheme: mustWarner(t, 3, 0.8), MaxBatch: 2})
 	resp, err := http.Post(base2+"/v1/reports", "application/json", strings.NewReader(`{"reports": [0, 1, 2]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +195,26 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 	if got := srv2.Collector().Count(); got != 0 {
 		t.Fatalf("oversized batch left %d reports behind", got)
+	}
+	// A body past the byte limit derived from MaxBatch is refused while it
+	// is being read, even when the reports inside it would fit: here two
+	// valid reports behind 1 MiB of whitespace.
+	for path, payload := range map[string]string{
+		"/v1/reports": `{"reports": [0, 1]}`,
+		"/v1/report":  `{"report": 1}`,
+	} {
+		body := strings.Repeat(" ", 1<<20) + payload
+		resp, err := http.Post(base2+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s body: %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if got := srv2.Collector().Count(); got != 0 {
+		t.Fatalf("oversized body left %d reports behind", got)
 	}
 }
 
@@ -207,7 +227,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	m := mustWarner(t, 4, 0.7)
 	path := filepath.Join(t.TempDir(), "state.json")
 
-	srv1, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	srv1, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +243,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	wantCounts := srv1.Collector().Counts()
 
 	// Boot 2: same snapshot, nothing lost, bit-identical counts.
-	srv2, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	srv2, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +268,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 		mu.Unlock()
 	}
-	srv3, err := New(Config{Matrix: m, SnapshotPath: path, Logf: logf})
+	srv3, err := New(Config{Scheme: m, SnapshotPath: path, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +283,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 	}
 
 	// Snapshot taken under a different same-size scheme → fresh, warned.
-	other, err := New(Config{Matrix: mustWarner(t, 4, 0.9), SnapshotPath: path, Logf: t.Logf})
+	other, err := New(Config{Scheme: mustWarner(t, 4, 0.9), SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +292,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	warnings = nil
-	srv4, err := New(Config{Matrix: m, SnapshotPath: path, Logf: logf})
+	srv4, err := New(Config{Scheme: m, SnapshotPath: path, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +300,7 @@ func TestServerSnapshotKillRestore(t *testing.T) {
 		t.Fatal("scheme-mismatched snapshot was not abandoned")
 	}
 	mu.Lock()
-	warned = len(warnings) > 0 && strings.Contains(warnings[0], "different disguise matrix")
+	warned = len(warnings) > 0 && strings.Contains(warnings[0], "different scheme")
 	mu.Unlock()
 	if !warned {
 		t.Fatalf("no scheme-mismatch warning logged: %v", warnings)
@@ -294,7 +314,7 @@ func TestServerDrainThenPersist(t *testing.T) {
 	m := mustWarner(t, 3, 0.8)
 	path := filepath.Join(t.TempDir(), "state.json")
 	srv, httpSrv, base := startService(t, Config{
-		Matrix: m, SnapshotPath: path, SnapshotEvery: time.Hour,
+		Scheme: m, SnapshotPath: path, SnapshotEvery: time.Hour,
 	})
 
 	snapCtx, snapCancel := context.WithCancel(context.Background())
@@ -336,7 +356,7 @@ func TestServerDrainThenPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	recovered, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +376,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 	}
 	m := mustWarner(t, 10, 0.75)
 	path := filepath.Join(t.TempDir(), "state.json")
-	srv, httpSrv, base := startService(t, Config{Matrix: m, SnapshotPath: path})
+	srv, httpSrv, base := startService(t, Config{Scheme: m, SnapshotPath: path})
 
 	const reports = 1_000_000
 	res, err := LoadTest(context.Background(), LoadConfig{
@@ -388,7 +408,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 	}
 	want := srv.Collector().Counts()
 	httpSrv.Close()
-	recovered, err := New(Config{Matrix: m, SnapshotPath: path, Logf: t.Logf})
+	recovered, err := New(Config{Scheme: m, SnapshotPath: path, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +426,7 @@ func TestLoadDriverMillionReports(t *testing.T) {
 // p99-batch-ns for the pinned bench harness.
 func BenchmarkServerIngest(b *testing.B) {
 	m := mustWarner(b, 10, 0.75)
-	_, _, base := startService(b, Config{Matrix: m})
+	_, _, base := startService(b, Config{Scheme: m})
 	client := rrclient.New(base, rrclient.WithSeed(3))
 	values := randx.New(4)
 	ctx := context.Background()

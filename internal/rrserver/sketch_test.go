@@ -2,6 +2,7 @@ package rrserver
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -140,14 +141,14 @@ func TestServerSketchEndToEnd(t *testing.T) {
 	// so doubling the report volume must not grow it beyond digit-width
 	// jitter — the collection state is independent of n (and of the
 	// 100000-category domain).
-	data0, err := srv.SketchCollector().MarshalJSON()
+	data0, err := srv.Collector().MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.ReportValues(ctx, values[:10000]); err != nil {
 		t.Fatal(err)
 	}
-	data1, err := srv.SketchCollector().MarshalJSON()
+	data1, err := srv.Collector().MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestServerSchemeETag(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"dense", Config{Matrix: mustWarner(t, 6, 0.8)}},
+		{"dense", Config{Scheme: mustWarner(t, 6, 0.8)}},
 		{"sketch", Config{Scheme: mustCMS(t, 1000, 4, 16, 4, 1)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -305,5 +306,43 @@ func TestServerSketchSnapshotRestore(t *testing.T) {
 	}
 	if !warned {
 		t.Fatal("scheme mismatch was not logged")
+	}
+}
+
+// TestServerOneCollectorInBothModes: dense and sketch deployments run on the
+// same collector type, exposed by Collector(), and answer a heavy-hitter
+// scan with no hits as an empty list.
+func TestServerOneCollectorInBothModes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dense", Config{Scheme: mustWarner(t, 4, 0.8)}},
+		{"sketch", Config{Scheme: mustCMS(t, 1000, 4, 16, 4, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, base := startService(t, tc.cfg)
+			if srv.Collector() == nil || srv.Collector().Scheme() != tc.cfg.Scheme {
+				t.Fatal("Collector() does not expose the deployed scheme's collector")
+			}
+			if err := srv.Collector().IngestBatch([]int{0, 1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Get(base + "/v1/heavyhitters?threshold=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body struct {
+				Reports int               `json:"reports"`
+				Hits    []json.RawMessage `json:"hits"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || body.Reports != 4 || body.Hits == nil || len(body.Hits) != 0 {
+				t.Fatalf("HTTP %d, reports %d, hits %v; want 200, 4, []", resp.StatusCode, body.Reports, body.Hits)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 // Wire a trace into a search via Problem.Recorder, live metrics via
 // Problem.Metrics, and a collection campaign via Collector.Instrument /
-// SafeCollector.Instrument. See the README's "Observability" section for
+// ShardedCollector.Instrument. See the README's "Observability" section for
 // the event schema and metric names.
 
 // Recorder consumes structured trace events. Implementations must be safe

@@ -9,8 +9,9 @@ import (
 
 // This file re-exports the scheme abstraction and the count-mean-sketch
 // layer: disguise schemes whose report space is decoupled from the domain
-// size, the O(k·m) collector that aggregates them, and heavy-hitter
-// discovery over huge categorical domains.
+// size and heavy-hitter discovery over huge categorical domains. The
+// reports are aggregated by the same ShardedCollector as the dense scheme's,
+// in memory proportional to the report space.
 
 // Scheme is a randomized-response disguise scheme: a domain, a report
 // space, per-record and batch disguising, and debiased frequency
@@ -25,17 +26,13 @@ type Scheme = rr.Scheme
 // collisions.
 type SketchScheme = sketch.CMSScheme
 
-// SketchCollector aggregates sketch reports in memory proportional to the
-// report space — not the domain — and answers point queries and
-// heavy-hitter scans.
-type SketchCollector = collector.SketchCollector
-
-// SketchHeavyHitter is one frequent category found by a SketchCollector
-// scan: its original-domain index and debiased frequency estimate.
+// SketchHeavyHitter is one frequent category found by a
+// ShardedCollector.HeavyHitters scan: its original-domain index and
+// debiased frequency estimate.
 type SketchHeavyHitter = collector.HeavyHitter
 
 // FrequencyEstimator answers debiased per-category frequency queries; the
-// SketchCollector implements it.
+// ShardedCollector implements it.
 type FrequencyEstimator = mining.FrequencyEstimator
 
 // Frequent is one heavy hitter discovered by HeavyHitters or TopK.
@@ -53,18 +50,6 @@ func NewSketchScheme(domain, hashes, hashRange int, inner *Matrix, hashSeed uint
 // inner matrix (constant diagonal at e^ε/(e^ε+hashRange−1)).
 func NewSketchSchemeKRR(domain, hashes, hashRange int, epsilon float64, hashSeed uint64) (*SketchScheme, error) {
 	return sketch.NewKRR(domain, hashes, hashRange, epsilon, hashSeed)
-}
-
-// NewSketchCollector returns a collector for reports disguised with the
-// given scheme, striped across shards (<= 0 picks a GOMAXPROCS default).
-func NewSketchCollector(scheme Scheme, shards int) *SketchCollector {
-	return collector.NewSketch(scheme, shards)
-}
-
-// RestoreSketchCollector rebuilds a sketch collector from a snapshot
-// produced by its MarshalJSON, for crash recovery of a running campaign.
-func RestoreSketchCollector(data []byte, shards int) (*SketchCollector, error) {
-	return collector.RestoreSketch(data, shards)
 }
 
 // HeavyHitters scans the estimator's domain in bounded chunks and returns

@@ -33,7 +33,7 @@ func TestSketchPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	col := optrr.NewSketchCollector(scheme, 0)
+	col := optrr.NewShardedCollector(scheme, 0)
 	if err := col.IngestBatch(reports); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSketchPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := optrr.RestoreSketchCollector(data, 4)
+	back, err := optrr.RestoreShardedCollector(data, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
