@@ -194,3 +194,44 @@ func TestOptimizeMultiCancellation(t *testing.T) {
 		t.Fatal("cancelled multi run returned no partial front")
 	}
 }
+
+// countingContext is an uncancellable context that counts Err polls.
+type countingContext struct {
+	context.Context
+	polls int
+}
+
+func (c *countingContext) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
+// TestContextPolledOncePerGeneration pins the poll contract that callers
+// timing generations through the context rely on: one Err before any work,
+// then exactly one per generation — Generations+1 polls for an uncancelled
+// run, for both the 1-D and the multi-attribute search.
+func TestContextPolledOncePerGeneration(t *testing.T) {
+	ctx := &countingContext{Context: context.Background()}
+	cfg := testConfig()
+	cfg.Context = ctx
+	opt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := opt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := cfg.Generations + 1; ctx.polls != want {
+		t.Errorf("Run polled the context %d times, want %d", ctx.polls, want)
+	}
+
+	ctx = &countingContext{Context: context.Background()}
+	mcfg := quickMulti()
+	mcfg.Context = ctx
+	if _, err := OptimizeMulti(mcfg); err != nil {
+		t.Fatal(err)
+	}
+	if want := mcfg.Generations + 1; ctx.polls != want {
+		t.Errorf("OptimizeMulti polled the context %d times, want %d", ctx.polls, want)
+	}
+}

@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"optrr/internal/metrics"
+	"optrr/internal/pareto"
 	"optrr/internal/rr"
 )
 
@@ -27,6 +29,84 @@ func quickMulti() MultiConfig {
 		OmegaSize:      100,
 		Generations:    40,
 		Seed:           5,
+	}
+}
+
+// tripleMulti is a small three-attribute problem over [3, 2, 2] (12 cells)
+// with one dominant cell, sized like quickMulti.
+func tripleMulti() MultiConfig {
+	joint := []float64{
+		0.14, 0.06, 0.05, 0.03,
+		0.04, 0.09, 0.02, 0.05,
+		0.03, 0.02, 0.12, 0.35,
+	}
+	return MultiConfig{
+		Joint:          joint,
+		Sizes:          []int{3, 2, 2},
+		Records:        5000,
+		Delta:          0.8,
+		PopulationSize: 12,
+		ArchiveSize:    12,
+		OmegaSize:      100,
+		Generations:    40,
+	}
+}
+
+// TestOptimizeMultiQualityPinned guards the multi-attribute search quality
+// across refactors of the driver. For seeds 1..12 it runs the search and
+// scores each front by its hypervolume against the reference (privacy 0,
+// utility 1e-3), normalized by the reference utility. The pinned figures are
+// the per-seed scores of the driver before the multi search moved onto the
+// shared generation loop. The median must not fall below the pinned median
+// by more than half the pinned interquartile range — a tolerance set by the
+// seed-to-seed spread rather than by any single front.
+func TestOptimizeMultiQualityPinned(t *testing.T) {
+	const refUtility = 1e-3
+	cases := []struct {
+		name   string
+		cfg    MultiConfig
+		pinned []float64
+	}{
+		{"quick", quickMulti(), []float64{
+			0.427731, 0.444664, 0.420898, 0.430405, 0.417868, 0.433932,
+			0.409282, 0.427465, 0.433581, 0.405657, 0.433082, 0.437848,
+		}},
+		{"triple", tripleMulti(), []float64{
+			0.483874, 0.412243, 0.483945, 0.412759, 0.437745, 0.488565,
+			0.455942, 0.459318, 0.454664, 0.411294, 0.488598, 0.471963,
+		}},
+	}
+	quartiles := func(v []float64) (q1, med, q3 float64) {
+		s := append([]float64(nil), v...)
+		sort.Float64s(s)
+		at := func(q float64) float64 {
+			x := q * float64(len(s)-1)
+			i := int(x)
+			if i+1 >= len(s) {
+				return s[len(s)-1]
+			}
+			return s[i] + (x-float64(i))*(s[i+1]-s[i])
+		}
+		return at(0.25), at(0.5), at(0.75)
+	}
+	for _, c := range cases {
+		got := make([]float64, len(c.pinned))
+		for i := range got {
+			cfg := c.cfg
+			cfg.Seed = uint64(i + 1)
+			res, err := OptimizeMulti(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, cfg.Seed, err)
+			}
+			got[i] = pareto.Hypervolume(res.FrontPoints(), 0, refUtility) / refUtility
+		}
+		q1, pinnedMed, q3 := quartiles(c.pinned)
+		_, med, _ := quartiles(got)
+		tol := (q3 - q1) / 2
+		t.Logf("%s: median %.6f (pinned %.6f, tolerance %.6f), per seed %.6f", c.name, med, pinnedMed, tol, got)
+		if med < pinnedMed-tol {
+			t.Errorf("%s: median hypervolume %.6f below pinned %.6f - %.6f", c.name, med, pinnedMed, tol)
+		}
 	}
 }
 
