@@ -83,9 +83,10 @@ func newConvergenceTracker(window int) convergenceTracker {
 }
 
 // observe folds one completed generation into the tracker and returns its
-// snapshot. front is the archive in objective space; hv its hypervolume
+// snapshot. omega is the run's Ω of any genotype, read for its churn
+// counters; front is the archive in objective space; hv its hypervolume
 // against the run's fixed reference point.
-func (t *convergenceTracker) observe(gen int, hv float64, omega *Omega, front []pareto.Point) Convergence {
+func (t *convergenceTracker) observe(gen int, hv float64, omega interface{ Churn() (int, int) }, front []pareto.Point) Convergence {
 	improved := false
 	switch {
 	case math.IsNaN(hv):

@@ -75,7 +75,7 @@ func TestConvergenceSnapshotInvariants(t *testing.T) {
 // hypervolume must raise the stall flag exactly at the window, and an
 // improvement must clear it.
 func TestConvergenceTrackerStall(t *testing.T) {
-	omega := NewOmega(10)
+	omega := NewOmega[Genome](10)
 	tr := newConvergenceTracker(3)
 	front := []pareto.Point{{Privacy: 0.2, Utility: 0.5}, {Privacy: 0.5, Utility: 0.2}}
 
@@ -110,7 +110,7 @@ func TestConvergenceTrackerStall(t *testing.T) {
 // TestConvergenceTrackerChurnDiffs: the tracker reports per-generation
 // deltas of the cumulative Ω counters.
 func TestConvergenceTrackerChurnDiffs(t *testing.T) {
-	omega := NewOmega(100)
+	omega := NewOmega[Genome](100)
 	tr := newConvergenceTracker(0)
 	rng := randx.New(1)
 	ind := func(priv, util float64) Individual {
@@ -228,9 +228,9 @@ func BenchmarkConvergenceSnapshot(b *testing.B) {
 		f := float64(i) / 40
 		front[i] = pareto.Point{Privacy: 0.1 + 0.6*f, Utility: 1e-4 * (1.2 - f)}
 	}
-	omega := NewOmega(1000)
+	omega := NewOmega[Genome](1000)
 	tr := newConvergenceTracker(0)
-	opt := &Optimizer{rec: obs.Nop, met: newOptimizerMetrics(obs.NewRegistry())}
+	opt := &search[Genome]{rec: obs.Nop, met: newOptimizerMetrics(obs.NewRegistry())}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -32,7 +32,7 @@ import (
 type islandState struct {
 	idx  int
 	opt  *Optimizer
-	rs   *runState
+	rs   *runState[Genome]
 	done bool
 	err  error // fatal error; the epoch aborts
 }
@@ -207,7 +207,7 @@ func (o *Optimizer) migrate(islands []*islandState) {
 			if j >= len(pop) {
 				break
 			}
-			pop[len(pop)-1-j] = Individual{Genome: ind.Genome.Clone(), Eval: ind.Eval}
+			pop[len(pop)-1-j] = ind.clone()
 		}
 		recv.opt.omega.UpdateAll(out)
 	}
@@ -223,15 +223,7 @@ func (is *islandState) emigrants(k int) []Individual {
 	if out := is.opt.omega.spread(k); len(out) > 0 {
 		return out
 	}
-	archive := is.rs.archive
-	pts := make([]pareto.Point, len(archive))
-	for i, ind := range archive {
-		pts[i] = ind.Point()
-	}
-	var front []Individual
-	for _, i := range pareto.Front(pts) {
-		front = append(front, archive[i])
-	}
+	front := paretoMembers(is.rs.archive)
 	if len(front) <= k {
 		return front
 	}
@@ -258,20 +250,8 @@ func (o *Optimizer) finishIslands(islands []*islandState, wallStart time.Time) R
 		}
 	}
 	o.evaluations = evaluations
-	front := o.omega.FrontSnapshot()
-	if !o.omega.Enabled() {
-		archPts := make([]pareto.Point, len(archive))
-		for i, ind := range archive {
-			archPts[i] = ind.Point()
-		}
-		idx := pareto.Front(archPts)
-		front = make([]Individual, 0, len(idx))
-		for _, i := range idx {
-			front = append(front, Individual{Genome: archive[i].Genome.Clone(), Eval: archive[i].Eval})
-		}
-	}
 	res := Result{
-		Front:       front,
+		Front:       o.outputFront(archive),
 		Archive:     archive,
 		Generations: maxGen(islands),
 		Evaluations: evaluations,

@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
-	"optrr/internal/emoo"
 	"optrr/internal/metrics"
 	"optrr/internal/pareto"
 	"optrr/internal/randx"
@@ -23,15 +20,20 @@ import (
 // bounds cannot express (they do not compose), so repair operates through
 // the joint posterior.
 //
+// The search is the 1-D generation loop (search, loop.go) run over the tuple
+// genotype: OptimizeMulti maps MultiConfig onto Config and hands the loop a
+// tupleGenotype, which supplies attribute-wise crossover, mutation of a
+// random attribute, a Warner-seeded initial population, and the joint-bound
+// repair. Everything else — SPEA2 selection, the Ω three-set update with its
+// archive backfill, worker-parallel realize with sequential redraws — is
+// literally the 1-D code.
+//
 // Evaluation is Kronecker-factored end to end: every individual is scored
 // through a per-worker metrics.JointWorkspace that works on the d small
 // per-attribute matrices — O(N·Σn_d) per evaluation with zero steady-state
 // allocations and no product-space matrix, so the search scales to product
-// spaces far beyond the old dense-channel cap. Threading mirrors the 1-D
-// fused evaluator: individuals fan out over parallelWork with exclusive
-// scratch per worker, results land in per-index slots, and failed slots are
-// redrawn sequentially with the run's RNG — bit-for-bit identical output at
-// every worker count.
+// spaces far beyond the old dense-channel cap. The output is bit-for-bit
+// identical at every worker count.
 
 // MultiConfig parameterizes the multi-dimensional optimizer.
 type MultiConfig struct {
@@ -48,7 +50,9 @@ type MultiConfig struct {
 	Delta float64
 
 	// PopulationSize, ArchiveSize, OmegaSize, Generations, MutationRate,
-	// Seed and Workers mirror Config; zero values take the same defaults.
+	// Seed and Workers mirror Config and are range-checked like it. Zero
+	// values take Config's defaults, except Generations (300) and
+	// OmegaSize (1000: the multi search always keeps Ω).
 	PopulationSize int
 	ArchiveSize    int
 	OmegaSize      int
@@ -107,29 +111,41 @@ func (res MultiResult) FrontPoints() []pareto.Point {
 	return pts
 }
 
-func (c MultiConfig) withDefaults() MultiConfig {
-	if c.PopulationSize == 0 {
-		c.PopulationSize = 40
+// config maps the multi-attribute search onto the shared loop's Config. The
+// joint is the record-level prior: its mode is the floor of the
+// record-level bound, exactly as the 1-D prior's is (Theorem 5). The multi
+// defaults are kept: no immigrants, two mutations per child, normalized
+// SPEA2 density with k = 1, 300 generations and a 1000-bin Ω.
+func (c MultiConfig) config() Config {
+	cfg := Config{
+		Prior:             c.Joint,
+		Records:           c.Records,
+		Delta:             c.Delta,
+		PopulationSize:    c.PopulationSize,
+		ArchiveSize:       c.ArchiveSize,
+		OmegaSize:         c.OmegaSize,
+		Generations:       c.Generations,
+		MutationRate:      c.MutationRate,
+		MutationsPerChild: 2,
+		ImmigrantFraction: -1,
+		KNearest:          1,
+		Normalize:         true,
+		Context:           c.Context,
+		Seed:              c.Seed,
+		Workers:           c.Workers,
 	}
-	if c.ArchiveSize == 0 {
-		c.ArchiveSize = 40
+	if cfg.Generations == 0 {
+		cfg.Generations = 300
 	}
-	if c.Generations == 0 {
-		c.Generations = 300
+	if cfg.OmegaSize == 0 {
+		cfg.OmegaSize = 1000
 	}
-	if c.MutationRate == 0 {
-		c.MutationRate = 0.6
-	}
-	if c.OmegaSize == 0 {
-		c.OmegaSize = 1000
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c
+	return cfg
 }
 
-// Validate checks the configuration.
+// Validate checks the attribute schema, then the mapped Config: the joint
+// as a distribution, records, delta against the joint mode, and the search
+// parameter ranges.
 func (c MultiConfig) Validate() error {
 	if len(c.Sizes) == 0 {
 		return fmt.Errorf("%w: no attributes", ErrBadConfig)
@@ -144,273 +160,120 @@ func (c MultiConfig) Validate() error {
 	if len(c.Joint) != total {
 		return fmt.Errorf("%w: joint has %d cells, want %d", ErrBadConfig, len(c.Joint), total)
 	}
-	var sum float64
-	for i, v := range c.Joint {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("%w: joint[%d] = %v", ErrBadConfig, i, v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("%w: joint sums to %v", ErrBadConfig, sum)
-	}
-	if c.Records <= 0 {
-		return fmt.Errorf("%w: records = %d", ErrBadConfig, c.Records)
-	}
-	if c.Delta <= 0 || c.Delta > 1 {
-		return fmt.Errorf("%w: delta = %v", ErrBadConfig, c.Delta)
-	}
-	if metrics.BoundFloor(c.Joint) > c.Delta+1e-12 {
-		return fmt.Errorf("%w: delta = %v, joint prior mode = %v", ErrInfeasibleBound, c.Delta, metrics.BoundFloor(c.Joint))
-	}
-	return nil
+	return c.config().Validate()
 }
 
-// ErrUnrealizable reports that no feasible multi-dimensional individual
-// could be constructed within the redraw budget.
-var ErrUnrealizable = errors.New("core: could not realize a feasible multi-dimensional individual")
-
 // OptimizeMulti runs the multi-dimensional search and returns its Pareto
-// front. The loop mirrors Run: SPEA2 fitness and selection over the tuple
-// genomes, attribute-wise crossover and mutation, blend-to-uniform repair of
-// the record-level bound, and a privacy-indexed Ω set. Individuals are
-// evaluated worker-parallel through per-worker Kronecker-factored
-// workspaces; the output is bit-for-bit identical at every Workers setting.
+// front: the shared generation loop over the tuple genotype. The output is
+// bit-for-bit identical at every Workers setting.
 func OptimizeMulti(cfg MultiConfig) (MultiResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return MultiResult{}, err
 	}
-	if err := ctxErr(cfg.Context); err != nil {
-		return MultiResult{}, cancelError(0, err)
+	c := cfg.config().withDefaults()
+	geno := &tupleGenotype{cfg: cfg, population: c.PopulationSize, scratch: make([]*multiScratch, c.Workers)}
+	for w := range geno.scratch {
+		geno.scratch[w] = newMultiScratch(cfg.Sizes)
 	}
-	cfg = cfg.withDefaults()
-	rng := randx.New(cfg.Seed)
-	omega := NewOmega(cfg.OmegaSize)
-	ecfg := emoo.Config{KNearest: 1, Normalize: true}
-	es := emoo.NewScratch()
-
-	evaluations := 0
-	// Per-worker scratch: each worker goroutine owns a factored workspace
-	// and per-attribute scratch matrices; SetColumns validates exactly as
-	// Genome.Matrix. Scratch contents are fully overwritten per individual,
-	// so the dynamic item-to-worker assignment never affects results.
-	scratch := make([]*multiScratch, cfg.Workers)
-	for w := range scratch {
-		scratch[w] = newMultiScratch(cfg.Sizes)
-	}
-	process := func(gs []Genome, sc *multiScratch) (MultiIndividual, bool) {
-		if !materializeTuple(sc.mats, gs) {
-			return MultiIndividual{}, false
-		}
-		if !meetJointBound(gs, sc, cfg) {
-			return MultiIndividual{}, false
-		}
-		// Re-materialize after repair.
-		if !materializeTuple(sc.mats, gs) {
-			return MultiIndividual{}, false
-		}
-		ev, err := sc.jws.Evaluate(sc.mats, cfg.Joint, cfg.Records)
-		if err != nil {
-			return MultiIndividual{}, false
-		}
-		return MultiIndividual{Genomes: gs, Eval: ev}, true
-	}
-
-	randomTuple := func() []Genome {
-		gs := make([]Genome, len(cfg.Sizes))
-		for d, s := range cfg.Sizes {
-			gs[d] = NewRandomGenome(s, rng)
-		}
-		return gs
-	}
-
-	realize := func(raw [][]Genome) ([]MultiIndividual, error) {
-		out := make([]MultiIndividual, len(raw))
-		oks := make([]bool, len(raw))
-		parallelWork(cfg.Workers, len(raw), func(w, i int) {
-			out[i], oks[i] = process(raw[i], scratch[w])
-		})
-		evaluations += len(raw)
-		// Replace failures sequentially with worker 0's scratch and the
-		// run's RNG, in index order — the redraw stream is then independent
-		// of the worker count, exactly as in the 1-D realize.
-		const maxRedraws = 5000
-		redraws := 0
-		for i := range out {
-			for !oks[i] {
-				if redraws++; redraws > maxRedraws {
-					return nil, fmt.Errorf("%w (delta=%v)", ErrUnrealizable, cfg.Delta)
-				}
-				evaluations++
-				out[i], oks[i] = process(randomTuple(), scratch[0])
-			}
-		}
-		return out, nil
-	}
-
-	// Omega stores single-genome Individuals; adapt by flattening the tuple
-	// into one concatenated genome for storage and keeping a side map. To
-	// keep things simple and allocation-light we instead maintain our own
-	// Ω keyed by privacy bins over MultiIndividuals.
-	type bin struct {
-		ind MultiIndividual
-		set bool
-	}
-	bins := make([]bin, omega.Size())
-	updateOmega := func(ind MultiIndividual) bool {
-		if len(bins) == 0 {
-			return false
-		}
-		i := int(ind.Eval.Privacy * float64(len(bins)))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(bins) {
-			i = len(bins) - 1
-		}
-		if bins[i].set && bins[i].ind.Eval.Utility <= ind.Eval.Utility {
-			return false
-		}
-		cl := MultiIndividual{Genomes: make([]Genome, len(ind.Genomes)), Eval: ind.Eval}
-		for d, g := range ind.Genomes {
-			cl.Genomes[d] = g.Clone()
-		}
-		bins[i] = bin{ind: cl, set: true}
-		return true
-	}
-
-	// Memetic initialization: half the initial population is random, half
-	// seeds the baseline one-parameter family (the same Warner diagonal on
-	// every attribute, spread over its range) so the search starts from the
-	// symmetric baseline and can only improve on it.
-	raw := make([][]Genome, cfg.PopulationSize)
-	for i := range raw {
-		if i%2 == 0 {
-			raw[i] = randomTuple()
-			continue
-		}
-		p := 0.1 + 0.85*float64(i)/float64(cfg.PopulationSize)
-		gs := make([]Genome, len(cfg.Sizes))
-		for d, n := range cfg.Sizes {
-			gs[d] = warnerLikeGenome(n, p)
-		}
-		raw[i] = gs
-	}
-	population, err := realize(raw)
-	if err != nil {
+	s := newSearch[tuple](c, geno)
+	rs, front, err := s.run()
+	if rs == nil {
 		return MultiResult{}, err
 	}
-	var archive []MultiIndividual
-
-	generations := 0
-	var cancelErr error
-	for gen := 0; gen < cfg.Generations; gen++ {
-		if err := ctxErr(cfg.Context); err != nil {
-			cancelErr = cancelError(gen, err)
-			break
-		}
-		generations++
-		union := append(append([]MultiIndividual{}, population...), archive...)
-		pts := make([]pareto.Point, len(union))
-		for i, ind := range union {
-			pts[i] = ind.Point()
-		}
-		// fit aliases the scratch; it is consumed (selIdx) before the next
-		// AssignFitness call overwrites it.
-		fit := es.AssignFitness(pts, ecfg)
-		selIdx, err := es.SelectEnvironment(pts, fit, cfg.ArchiveSize, ecfg)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		nextArchive := make([]MultiIndividual, len(selIdx))
-		for k, i := range selIdx {
-			nextArchive[k] = union[i]
-		}
-		archivePts := make([]pareto.Point, len(nextArchive))
-		for i, ind := range nextArchive {
-			archivePts[i] = ind.Point()
-		}
-		archiveFit := es.AssignFitness(archivePts, ecfg)
-
-		children := make([][]Genome, 0, cfg.PopulationSize)
-		for len(children) < cfg.PopulationSize {
-			pa := nextArchive[emoo.BinaryTournament(archiveFit, rng)]
-			pb := nextArchive[emoo.BinaryTournament(archiveFit, rng)]
-			c1 := make([]Genome, len(cfg.Sizes))
-			c2 := make([]Genome, len(cfg.Sizes))
-			for d := range cfg.Sizes {
-				a, b, err := Crossover(pa.Genomes[d], pb.Genomes[d], rng)
-				if err != nil {
-					return MultiResult{}, err
-				}
-				c1[d], c2[d] = a, b
-			}
-			for _, child := range [][]Genome{c1, c2} {
-				if len(children) >= cfg.PopulationSize {
-					break
-				}
-				if rng.Float64() < cfg.MutationRate {
-					d := rng.Intn(len(child))
-					Mutate(child[d], MutationProportional, 1, rng)
-					d = rng.Intn(len(child))
-					Mutate(child[d], MutationProportional, 1, rng)
-				}
-				children = append(children, child)
-			}
-		}
-		population, err = realize(children)
-		if err != nil {
-			return MultiResult{}, err
-		}
-		for _, ind := range population {
-			updateOmega(ind)
-		}
-		for _, ind := range nextArchive {
-			updateOmega(ind)
-		}
-		archive = nextArchive
+	res := MultiResult{Front: make([]MultiIndividual, len(front)), Generations: rs.gen, Evaluations: s.evaluations}
+	for i, m := range front {
+		res.Front[i] = MultiIndividual{Genomes: m.Genome, Eval: m.Eval}
 	}
-
-	// Output: Pareto front of Ω (or the archive when Ω is disabled).
-	var all []MultiIndividual
-	if len(bins) > 0 {
-		for _, b := range bins {
-			if b.set {
-				all = append(all, b.ind)
-			}
-		}
-	} else {
-		all = archive
-	}
-	pts := make([]pareto.Point, len(all))
-	for i, ind := range all {
-		pts[i] = ind.Point()
-	}
-	idx := pareto.Front(pts)
-	front := make([]MultiIndividual, 0, len(idx))
-	for _, i := range idx {
-		front = append(front, all[i])
-	}
-	return MultiResult{Front: front, Generations: generations, Evaluations: evaluations}, cancelErr
+	return res, err
 }
 
-// warnerLikeGenome returns the constant-diagonal genome with diagonal p.
-func warnerLikeGenome(n int, p float64) Genome {
-	g := make(Genome, n)
-	off := (1 - p) / float64(n-1)
-	for i := range g {
-		col := make([]float64, n)
-		for j := range col {
-			if i == j {
-				col[j] = p
-			} else {
-				col[j] = off
-			}
+// tuple is the multi-attribute genotype: one genome per attribute.
+type tuple []Genome
+
+// Clone deep-copies every attribute's genome.
+func (t tuple) Clone() tuple {
+	out := make(tuple, len(t))
+	for d, g := range t {
+		out[d] = g.Clone()
+	}
+	return out
+}
+
+// tupleGenotype supplies the multi-attribute operations to the generation
+// loop. Each worker owns one multiScratch: a factored workspace and
+// per-attribute scratch matrices whose contents are fully overwritten per
+// individual, so the dynamic item-to-worker assignment never affects
+// results.
+type tupleGenotype struct {
+	cfg        MultiConfig
+	population int
+	scratch    []*multiScratch
+}
+
+// initial is the memetic initialization: even slots are random, odd slots
+// seed the baseline one-parameter family (the same Warner diagonal on every
+// attribute, spread over its range), so the search starts from the
+// symmetric baseline and can only improve on it.
+func (t *tupleGenotype) initial(r *randx.Source) []tuple {
+	out := make([]tuple, t.population)
+	for i := range out {
+		if i%2 == 0 {
+			out[i] = t.random(r)
+			continue
 		}
-		g[i] = col
+		p := 0.1 + 0.85*float64(i)/float64(t.population)
+		out[i] = make(tuple, len(t.cfg.Sizes))
+		for d, n := range t.cfg.Sizes {
+			out[i][d] = diagonalGenome(n, p)
+		}
+	}
+	return out
+}
+
+// random draws a fresh random genome per attribute.
+func (t *tupleGenotype) random(r *randx.Source) tuple {
+	g := make(tuple, len(t.cfg.Sizes))
+	for d, n := range t.cfg.Sizes {
+		g[d] = NewRandomGenome(n, r)
 	}
 	return g
 }
+
+// crossover recombines the parents attribute by attribute.
+func (t *tupleGenotype) crossover(a, b tuple, r *randx.Source) (tuple, tuple, error) {
+	c1, c2 := make(tuple, len(a)), make(tuple, len(a))
+	for d := range a {
+		var err error
+		if c1[d], c2[d], err = Crossover(a[d], b[d], r); err != nil {
+			return nil, nil, err
+		}
+	}
+	return c1, c2, nil
+}
+
+// mutate applies the proportional mutation to one random attribute.
+func (t *tupleGenotype) mutate(g tuple, r *randx.Source) {
+	Mutate(g[r.Intn(len(g))], MutationProportional, 1, r)
+}
+
+// evaluate repairs the record-level bound and scores g on worker w's
+// factored workspace.
+func (t *tupleGenotype) evaluate(w int, g tuple) (metrics.Evaluation, genomeOutcome) {
+	sc := t.scratch[w]
+	// Materialize, repair, and re-materialize the repaired genomes.
+	if !materializeTuple(sc.mats, g) || !meetJointBound(g, sc, t.cfg) || !materializeTuple(sc.mats, g) {
+		return metrics.Evaluation{}, genomeOutcome{}
+	}
+	ev, err := sc.jws.Evaluate(sc.mats, t.cfg.Joint, t.cfg.Records)
+	if err != nil {
+		return metrics.Evaluation{}, genomeOutcome{}
+	}
+	return ev, genomeOutcome{ok: true}
+}
+
+// referenceUtility is never read: MultiConfig attaches no observer, so the
+// loop builds no per-generation statistics for the multi search.
+func (t *tupleGenotype) referenceUtility() float64 { return 1 }
 
 // multiScratch is one worker's exclusive evaluation state: the factored
 // joint workspace plus per-attribute scratch matrices for materialization

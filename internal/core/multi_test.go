@@ -127,6 +127,10 @@ func TestMultiConfigValidate(t *testing.T) {
 		{"records", func(c *MultiConfig) { c.Records = 0 }, ErrBadConfig},
 		{"delta", func(c *MultiConfig) { c.Delta = 0 }, ErrBadConfig},
 		{"delta below joint mode", func(c *MultiConfig) { c.Delta = 0.2 }, ErrInfeasibleBound},
+		{"negative population", func(c *MultiConfig) { c.PopulationSize = -4 }, ErrBadConfig},
+		{"negative generations", func(c *MultiConfig) { c.Generations = -1 }, ErrBadConfig},
+		{"negative archive", func(c *MultiConfig) { c.ArchiveSize = -1 }, ErrBadConfig},
+		{"mutation rate above one", func(c *MultiConfig) { c.MutationRate = 1.5 }, ErrBadConfig},
 	}
 	for _, c := range cases {
 		cfg := quickMulti()
@@ -134,6 +138,17 @@ func TestMultiConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
+		// The search must reject the config the same way, without panicking.
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: OptimizeMulti panicked: %v", c.name, p)
+				}
+			}()
+			if _, err := OptimizeMulti(cfg); !errors.Is(err, c.want) {
+				t.Errorf("%s: OptimizeMulti err = %v, want %v", c.name, err, c.want)
+			}
+		}()
 	}
 }
 

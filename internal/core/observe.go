@@ -82,19 +82,19 @@ func newOptimizerMetrics(reg *obs.Registry) *optimizerMetrics {
 // emitStart records the run configuration. The effective worker count (the
 // resolved Config.Workers every parallel kernel sees) and the effective
 // island topology go to both the registry gauges and the start event.
-func (o *Optimizer) emitStart() {
-	if m := o.met; m != nil {
-		m.workers.Set(float64(o.cfg.Workers))
+func (s *search[G]) emitStart() {
+	if m := s.met; m != nil {
+		m.workers.Set(float64(s.cfg.Workers))
 	}
-	if !o.rec.Enabled() {
+	if !s.rec.Enabled() {
 		return
 	}
-	cfg := o.cfg
+	cfg := s.cfg
 	islands := cfg.Islands
 	if islands < 1 {
 		islands = 1
 	}
-	o.rec.Record("optimizer.start", obs.Fields{
+	s.rec.Record("optimizer.start", obs.Fields{
 		"categories":    len(cfg.Prior),
 		"records":       cfg.Records,
 		"delta":         cfg.Delta,
@@ -114,8 +114,8 @@ func (o *Optimizer) emitStart() {
 // emitGeneration publishes one completed generation to the recorder and the
 // metrics registry. The Stats clone detaches the event from the optimizer's
 // reused Front scratch buffer: recorders may retain Fields indefinitely.
-func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, evalsGen, truncated, backfilled int) {
-	if m := o.met; m != nil {
+func (s *search[G]) emitGeneration(st Stats, phases [phaseCount]time.Duration, evalsGen, truncated, backfilled int) {
+	if m := s.met; m != nil {
 		m.evaluations.Add(int64(evalsGen))
 		m.repairs.Add(int64(st.Repairs))
 		m.redraws.Add(int64(st.Redraws))
@@ -132,11 +132,11 @@ func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, e
 		}
 		m.genSeconds.Observe(total.Seconds())
 	}
-	if !o.rec.Enabled() {
+	if !s.rec.Enabled() {
 		return
 	}
 	st = st.Clone()
-	o.rec.Record("optimizer.generation", obs.Fields{
+	s.rec.Record("optimizer.generation", obs.Fields{
 		"gen":            st.Generation,
 		"evals":          st.Evaluations,
 		"evals_gen":      evalsGen,
@@ -160,9 +160,9 @@ func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, e
 		// environmental selection (truncation). Both overlap select_ms /
 		// vary_ms, so they are reported separately rather than added to
 		// the phase timeline.
-		"fitness_ms":  ms(o.fitnessDur),
-		"truncate_ms": ms(o.truncateDur),
-		"workers":     o.cfg.Workers,
+		"fitness_ms":  ms(s.fitnessDur),
+		"truncate_ms": ms(s.truncateDur),
+		"workers":     s.cfg.Workers,
 	})
 }
 
@@ -170,8 +170,8 @@ func (o *Optimizer) emitGeneration(st Stats, phases [phaseCount]time.Duration, e
 // "optimizer.convergence" trace event plus the registry mirrors. Like
 // emitGeneration it is free when neither a recorder nor a registry is
 // attached.
-func (o *Optimizer) emitConvergence(c Convergence) {
-	if m := o.met; m != nil {
+func (s *search[G]) emitConvergence(c Convergence) {
+	if m := s.met; m != nil {
 		m.bestHypervolume.Set(c.BestHypervolume)
 		m.staleGens.Set(float64(c.SinceImprovement))
 		if c.Stalled {
@@ -183,10 +183,10 @@ func (o *Optimizer) emitConvergence(c Convergence) {
 		m.omegaInserts.Add(int64(c.OmegaInserts))
 		m.omegaEvictions.Add(int64(c.OmegaEvictions))
 	}
-	if !o.rec.Enabled() {
+	if !s.rec.Enabled() {
 		return
 	}
-	o.rec.Record("optimizer.convergence", obs.Fields{
+	s.rec.Record("optimizer.convergence", obs.Fields{
 		"gen":               c.Generation,
 		"hypervolume":       c.Hypervolume,
 		"best_hypervolume":  c.BestHypervolume,

@@ -5,17 +5,33 @@ import (
 	"optrr/internal/pareto"
 )
 
-// Individual couples a genome with its objective-space evaluation.
-type Individual struct {
-	Genome Genome
+// cloner is the constraint on a search genotype: a genome value the
+// generation loop and Ω can deep-copy. Genome is the 1-D genotype, tuple
+// the multi-attribute one.
+type cloner[G any] interface {
+	Clone() G
+}
+
+// member couples a genome of the search's genotype with its
+// objective-space evaluation.
+type member[G cloner[G]] struct {
+	Genome G
 	Eval   metrics.Evaluation
 }
 
-// Point returns the individual's image in objective space: the canonical
+// Individual couples a genome with its objective-space evaluation.
+type Individual = member[Genome]
+
+// Point returns the member's image in objective space: the canonical
 // privacy/utility pair plus any configured extra objectives (already in
 // canonical minimized form, see metrics.Evaluation.Extra).
-func (ind Individual) Point() pareto.Point {
+func (ind member[G]) Point() pareto.Point {
 	return pareto.NewPoint(ind.Eval.Privacy, ind.Eval.Utility, ind.Eval.Extra...)
+}
+
+// clone deep-copies the member's genome.
+func (ind member[G]) clone() member[G] {
+	return member[G]{Genome: ind.Genome.Clone(), Eval: ind.Eval}
 }
 
 // Omega is the paper's "optimal set" (Section V-H): a large archive indexed
@@ -24,9 +40,10 @@ func (ind Individual) Point() pareto.Point {
 // S buckets it into S equal bins, each remembering the matrix with the best
 // (lowest) utility seen for that privacy level. Updates are O(1), so Omega
 // can be much larger than the evolving sets without affecting the cubic
-// environmental-selection cost.
-type Omega struct {
-	bins []*Individual
+// environmental-selection cost. Ω is generic over the genotype G: the 1-D
+// search stores Genome members, the multi-attribute search genome tuples.
+type Omega[G cloner[G]] struct {
+	bins []*member[G]
 
 	// Cumulative churn counters: inserts counts every entry stored (first
 	// occupation or replacement of a bin), evictions counts the subset that
@@ -42,21 +59,18 @@ type Omega struct {
 // NewOmega returns an optimal set with the given number of privacy bins.
 // Size 0 disables the set (every operation becomes a no-op), which is the
 // paper-vs-plain-SPEA2 ablation switch.
-func NewOmega(size int) *Omega {
+func NewOmega[G cloner[G]](size int) *Omega[G] {
 	if size <= 0 {
-		return &Omega{}
+		return &Omega[G]{}
 	}
-	return &Omega{bins: make([]*Individual, size)}
+	return &Omega[G]{bins: make([]*member[G], size)}
 }
 
 // Enabled reports whether the set is active.
-func (o *Omega) Enabled() bool { return len(o.bins) > 0 }
-
-// Size returns the number of privacy bins.
-func (o *Omega) Size() int { return len(o.bins) }
+func (o *Omega[G]) Enabled() bool { return len(o.bins) > 0 }
 
 // Len returns the number of occupied bins.
-func (o *Omega) Len() int {
+func (o *Omega[G]) Len() int {
 	n := 0
 	for _, b := range o.bins {
 		if b != nil {
@@ -67,7 +81,7 @@ func (o *Omega) Len() int {
 }
 
 // binIndex maps a privacy value to its bin. Values outside [0, 1) clamp.
-func (o *Omega) binIndex(privacy float64) int {
+func (o *Omega[G]) binIndex(privacy float64) int {
 	i := int(privacy * float64(len(o.bins)))
 	if i < 0 {
 		return 0
@@ -85,7 +99,7 @@ func (o *Omega) binIndex(privacy float64) int {
 // in the paper, so the canonical search is bit-for-bit stable; extras enter
 // through FrontSnapshot, whose dominance filter runs over the full k-dim
 // points.
-func (o *Omega) Update(ind Individual) bool {
+func (o *Omega[G]) Update(ind member[G]) bool {
 	if !o.Enabled() {
 		return false
 	}
@@ -98,7 +112,7 @@ func (o *Omega) Update(ind Individual) bool {
 		o.evictions++
 	}
 	o.inserts++
-	clone := Individual{Genome: ind.Genome.Clone(), Eval: ind.Eval}
+	clone := ind.clone()
 	o.bins[i] = &clone
 	return true
 }
@@ -106,12 +120,12 @@ func (o *Omega) Update(ind Individual) bool {
 // Churn returns the cumulative insert and eviction counts since
 // construction. Per-generation churn is the difference between two
 // consecutive readings.
-func (o *Omega) Churn() (inserts, evictions int) {
+func (o *Omega[G]) Churn() (inserts, evictions int) {
 	return o.inserts, o.evictions
 }
 
 // UpdateAll offers every individual and returns how many bins improved.
-func (o *Omega) UpdateAll(inds []Individual) int {
+func (o *Omega[G]) UpdateAll(inds []member[G]) int {
 	changed := 0
 	for _, ind := range inds {
 		if o.Update(ind) {
@@ -125,7 +139,7 @@ func (o *Omega) UpdateAll(inds []Individual) int {
 // and returns how many bins improved. Unlike UpdateAll over src.Snapshot()
 // it clones nothing up front — only entries that actually land in a bin pay
 // for a copy — which keeps the island-model epoch fold cheap.
-func (o *Omega) Fold(src *Omega) int {
+func (o *Omega[G]) Fold(src *Omega[G]) int {
 	changed := 0
 	for _, b := range src.bins {
 		if b != nil && o.Update(*b) {
@@ -139,7 +153,7 @@ func (o *Omega) Fold(src *Omega) int {
 // each archive member whose privacy bin holds a strictly better (lower
 // utility) Ω entry is replaced by a clone of that entry. It returns the
 // number of replacements.
-func (o *Omega) ImproveArchive(archive []Individual) int {
+func (o *Omega[G]) ImproveArchive(archive []member[G]) int {
 	if !o.Enabled() {
 		return 0
 	}
@@ -148,7 +162,7 @@ func (o *Omega) ImproveArchive(archive []Individual) int {
 		i := o.binIndex(archive[k].Eval.Privacy)
 		best := o.bins[i]
 		if best != nil && best.Eval.Utility < archive[k].Eval.Utility {
-			archive[k] = Individual{Genome: best.Genome.Clone(), Eval: best.Eval}
+			archive[k] = best.clone()
 			replaced++
 		}
 	}
@@ -157,11 +171,11 @@ func (o *Omega) ImproveArchive(archive []Individual) int {
 
 // Snapshot returns the occupied entries (cloned), ordered by bin (ascending
 // privacy).
-func (o *Omega) Snapshot() []Individual {
-	var out []Individual
+func (o *Omega[G]) Snapshot() []member[G] {
+	var out []member[G]
 	for _, b := range o.bins {
 		if b != nil {
-			out = append(out, Individual{Genome: b.Genome.Clone(), Eval: b.Eval})
+			out = append(out, b.clone())
 		}
 	}
 	return out
@@ -169,11 +183,11 @@ func (o *Omega) Snapshot() []Individual {
 
 // FrontSnapshot returns the Pareto-optimal subset of the occupied entries,
 // sorted by ascending privacy — the paper's final output.
-func (o *Omega) FrontSnapshot() []Individual {
+func (o *Omega[G]) FrontSnapshot() []member[G] {
 	refs := o.frontRefs()
-	out := make([]Individual, len(refs))
+	out := make([]member[G], len(refs))
 	for i, ind := range refs {
-		out[i] = Individual{Genome: ind.Genome.Clone(), Eval: ind.Eval}
+		out[i] = ind.clone()
 	}
 	return out
 }
@@ -184,8 +198,8 @@ func (o *Omega) FrontSnapshot() []Individual {
 // already hold the utility-best entry per privacy level, so an evenly
 // spaced pick is near-optimal at O(bins) cost. The returned genomes alias
 // the live bins and must be cloned before retention.
-func (o *Omega) spread(k int) []Individual {
-	var all []Individual
+func (o *Omega[G]) spread(k int) []member[G] {
+	var all []member[G]
 	for _, b := range o.bins {
 		if b != nil {
 			all = append(all, *b)
@@ -194,7 +208,7 @@ func (o *Omega) spread(k int) []Individual {
 	if len(all) <= k || k < 2 {
 		return all
 	}
-	out := make([]Individual, 0, k)
+	out := make([]member[G], 0, k)
 	for j := 0; j < k; j++ {
 		out = append(out, all[j*(len(all)-1)/(k-1)])
 	}
@@ -204,21 +218,27 @@ func (o *Omega) spread(k int) []Individual {
 // frontRefs is FrontSnapshot without the clones: the returned genomes alias
 // the live bins, so callers must either not retain them past the next Update
 // or clone what they keep.
-func (o *Omega) frontRefs() []Individual {
-	var all []Individual
+func (o *Omega[G]) frontRefs() []member[G] {
+	var all []member[G]
 	for _, b := range o.bins {
 		if b != nil {
 			all = append(all, *b)
 		}
 	}
-	pts := make([]pareto.Point, len(all))
-	for i, ind := range all {
+	return paretoMembers(all)
+}
+
+// paretoMembers returns the non-dominated members of inds, in input order and
+// without cloning.
+func paretoMembers[G cloner[G]](inds []member[G]) []member[G] {
+	pts := make([]pareto.Point, len(inds))
+	for i, ind := range inds {
 		pts[i] = ind.Point()
 	}
 	idx := pareto.Front(pts)
-	out := make([]Individual, 0, len(idx))
+	out := make([]member[G], 0, len(idx))
 	for _, i := range idx {
-		out = append(out, all[i])
+		out = append(out, inds[i])
 	}
 	return out
 }

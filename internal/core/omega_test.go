@@ -16,7 +16,7 @@ func indAt(privacy, utility float64) Individual {
 }
 
 func TestOmegaDisabled(t *testing.T) {
-	o := NewOmega(0)
+	o := NewOmega[Genome](0)
 	if o.Enabled() {
 		t.Fatal("size-0 Omega reports enabled")
 	}
@@ -32,7 +32,7 @@ func TestOmegaDisabled(t *testing.T) {
 }
 
 func TestOmegaUpdateKeepsBest(t *testing.T) {
-	o := NewOmega(10)
+	o := NewOmega[Genome](10)
 	if !o.Update(indAt(0.55, 0.3)) {
 		t.Fatal("first update rejected")
 	}
@@ -52,7 +52,7 @@ func TestOmegaUpdateKeepsBest(t *testing.T) {
 }
 
 func TestOmegaBinIndexing(t *testing.T) {
-	o := NewOmega(10)
+	o := NewOmega[Genome](10)
 	o.Update(indAt(0.05, 1))  // bin 0
 	o.Update(indAt(0.15, 1))  // bin 1
 	o.Update(indAt(0.95, 1))  // bin 9
@@ -68,7 +68,7 @@ func TestOmegaBinIndexing(t *testing.T) {
 }
 
 func TestOmegaSnapshotIsolation(t *testing.T) {
-	o := NewOmega(10)
+	o := NewOmega[Genome](10)
 	o.Update(indAt(0.5, 0.1))
 	snap := o.Snapshot()
 	snap[0].Genome[0][0] = 42
@@ -79,7 +79,7 @@ func TestOmegaSnapshotIsolation(t *testing.T) {
 }
 
 func TestOmegaUpdateClones(t *testing.T) {
-	o := NewOmega(10)
+	o := NewOmega[Genome](10)
 	ind := indAt(0.5, 0.1)
 	o.Update(ind)
 	ind.Genome[0][0] = 42
@@ -89,7 +89,7 @@ func TestOmegaUpdateClones(t *testing.T) {
 }
 
 func TestOmegaImproveArchive(t *testing.T) {
-	o := NewOmega(10)
+	o := NewOmega[Genome](10)
 	o.Update(indAt(0.55, 0.1))
 	archive := []Individual{
 		indAt(0.552, 0.5), // same bin, worse utility: should be replaced
@@ -108,7 +108,7 @@ func TestOmegaImproveArchive(t *testing.T) {
 }
 
 func TestOmegaFrontSnapshotNonDominated(t *testing.T) {
-	o := NewOmega(100)
+	o := NewOmega[Genome](100)
 	o.Update(indAt(0.30, 0.10))
 	o.Update(indAt(0.50, 0.20))
 	o.Update(indAt(0.40, 0.30)) // dominated by the 0.50/0.20 entry
@@ -128,7 +128,7 @@ func TestOmegaFrontSnapshotNonDominated(t *testing.T) {
 func TestPropertyOmegaMonotone(t *testing.T) {
 	f := func(seed uint64, count uint8) bool {
 		r := randx.New(seed)
-		o := NewOmega(50)
+		o := NewOmega[Genome](50)
 		best := make(map[int]float64)
 		for i := 0; i < int(count); i++ {
 			p, u := r.Float64(), r.Float64()
@@ -152,7 +152,7 @@ func TestPropertyOmegaMonotone(t *testing.T) {
 }
 
 func BenchmarkOmegaUpdate(b *testing.B) {
-	o := NewOmega(1000)
+	o := NewOmega[Genome](1000)
 	r := randx.New(1)
 	inds := make([]Individual, 256)
 	for i := range inds {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"time"
 
 	"optrr/internal/emoo"
 	"optrr/internal/metrics"
@@ -444,62 +442,19 @@ func (res Result) Matrices() ([]*rr.Matrix, error) {
 	return out, nil
 }
 
-// Optimizer runs the paper's SPEA2-based search. Construct with New.
+// Optimizer runs the paper's SPEA2-based search. Construct with New. It is
+// the Genome instance of the shared generation loop (search): the embedded
+// loop drives selection, variation and Ω, and the Optimizer supplies the
+// genotype operations over one RR matrix genome.
 type Optimizer struct {
-	cfg   Config
-	rng   *randx.Source
-	omega *Omega
+	*search[Genome]
 
-	evaluations int
-
-	// Observability plumbing. rec is never nil (OrNop); met is nil without
-	// a registry. observed gates all per-generation Stats assembly, timed
-	// gates wall-clock sampling, so the bare configuration pays for none of
-	// it.
-	rec      obs.Recorder
-	met      *optimizerMetrics
-	observed bool
-	timed    bool
-	// conv folds per-generation fronts into Convergence snapshots; only
-	// consulted when observed.
-	conv convergenceTracker
-	// frontBuf is the objective-space scratch buffer reused every
-	// generation for mating selection and Stats.Front — the reuse is why
-	// Progress callbacks must not retain Stats slices without Clone.
-	frontBuf []pareto.Point
-	// tally accumulates per-generation repair/redraw/reject counts inside
-	// realize; Run resets it at the top of every generation.
-	tally generationTally
-	// fitnessDur/truncateDur accumulate, when timed, the wall time of the
-	// generation's SPEA2 fitness assignments and environmental selection
-	// (truncation) — the sub-phases of "select" whose kernels parallelize
-	// across Workers. Run resets them with the tally.
-	fitnessDur  time.Duration
-	truncateDur time.Duration
-
-	// Hot-path scratch, persistent across generations. emooScratch backs
-	// SPEA2 fitness/selection; workers holds one evaluation workspace per
-	// configured worker; unionBuf/unionPts/outcomes are the per-generation
-	// population ∪ archive buffers.
-	emooScratch *emoo.Scratch
-	workers     []*workerScratch
-	unionBuf    []Individual
-	unionPts    []pareto.Point
-	outcomes    []genomeOutcome
-
+	// workers holds one evaluation workspace per configured worker.
+	workers []*workerScratch
 	// seedGenomes, when non-nil, is injected at the head of the initial
 	// population before the random fill — the island scheduler's
 	// closed-form anchors. Never set on the plain serial path.
 	seedGenomes []Genome
-}
-
-// generationTally counts the feasibility work done by one generation's
-// realize pass.
-type generationTally struct {
-	repairs  int
-	pushBack float64
-	redraws  int
-	rejects  int
 }
 
 // New validates the configuration and returns a ready optimizer.
@@ -508,24 +463,12 @@ func New(cfg Config) (*Optimizer, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	rec := obs.OrNop(cfg.Recorder)
-	met := newOptimizerMetrics(cfg.Metrics)
-	workers := make([]*workerScratch, cfg.Workers)
-	for i := range workers {
-		workers[i] = newWorkerScratch()
+	o := &Optimizer{workers: make([]*workerScratch, cfg.Workers)}
+	for i := range o.workers {
+		o.workers[i] = newWorkerScratch()
 	}
-	return &Optimizer{
-		cfg:         cfg,
-		rng:         randx.New(cfg.Seed),
-		omega:       NewOmega(cfg.OmegaSize),
-		rec:         rec,
-		met:         met,
-		observed:    cfg.Progress != nil || rec.Enabled() || met != nil,
-		timed:       rec.Enabled() || met != nil,
-		conv:        newConvergenceTracker(cfg.StagnationLimit),
-		emooScratch: emoo.NewScratch(),
-		workers:     workers,
-	}, nil
+	o.search = newSearch[Genome](cfg, o)
+	return o, nil
 }
 
 // Run executes the optimization loop of Section V-A:
@@ -544,291 +487,109 @@ func (o *Optimizer) Run() (Result, error) {
 	if o.cfg.Islands > 1 {
 		return o.runIslands()
 	}
-	if err := ctxErr(o.cfg.Context); err != nil {
-		// Already cancelled: return promptly, before paying for the seed
-		// population. The front is empty — no work was done.
-		return Result{}, cancelError(0, err)
-	}
-	o.emitStart()
-	st, err := o.begin()
-	if err != nil {
+	rs, front, err := o.run()
+	if rs == nil {
 		return Result{}, err
-	}
-	for st.gen < o.cfg.Generations {
-		done, err := o.stepGeneration(st)
-		if err != nil {
-			return Result{}, err
-		}
-		if done {
-			break
-		}
-	}
-	return o.finish(st), st.cancelErr
-}
-
-// runState is one search's loop state between generations. Run drives it
-// straight through the generation budget; the island scheduler advances W of
-// them a migration interval at a time.
-type runState struct {
-	population []Individual
-	archive    []Individual
-	gen        int  // completed generations
-	stagnant   int  // consecutive generations without Ω improvement
-	stagnated  bool // stopped on the stagnation criterion
-	cancelErr  error
-	refUtility float64
-	wallStart  time.Time
-}
-
-// begin seeds the initial population and prepares the loop state. It does
-// not emit the start event — island mode emits one start per island through
-// the tagged recorder, so emission stays with the caller.
-func (o *Optimizer) begin() (*runState, error) {
-	st := &runState{}
-	if o.timed {
-		st.wallStart = time.Now()
-	}
-	population, err := o.seedPopulation()
-	if err != nil {
-		return nil, err
-	}
-	st.population = population
-	st.refUtility = o.referenceUtility()
-	return st, nil
-}
-
-// stepGeneration advances the search by one generation. It returns done
-// when the run should stop early — cancellation (recorded in rs.cancelErr)
-// or Ω stagnation — and a non-nil error only for fatal failures. The
-// generation counter advances exactly as the monolithic loop did, so a
-// sequence of steps is bit-for-bit the pre-refactor Run.
-func (o *Optimizer) stepGeneration(rs *runState) (bool, error) {
-	cfg := o.cfg
-	gen := rs.gen
-	population, archive := rs.population, rs.archive
-	refUtility := rs.refUtility
-	// One cancellation check per generation: cheap against the cost of
-	// a generation, and the loop state is always consistent at the
-	// boundary, so the best-so-far front below stays well-formed.
-	if err := ctxErr(cfg.Context); err != nil {
-		rs.cancelErr = cancelError(gen, err)
-		return true, nil
-	}
-	{
-		o.tally = generationTally{}
-		o.fitnessDur, o.truncateDur = 0, 0
-		evalsBefore := o.evaluations
-		var phases [phaseCount]time.Duration
-		var mark time.Time
-		if o.timed {
-			mark = time.Now()
-		}
-		lap := func(p int) {
-			if o.timed {
-				now := time.Now()
-				phases[p] = now.Sub(mark)
-				mark = now
-			}
-		}
-
-		// population ∪ archive, in reused scratch buffers: the union is
-		// copied into nextArchive below, so nothing retains these slices
-		// past the generation.
-		union := append(append(o.unionBuf[:0], population...), archive...)
-		o.unionBuf = union[:0]
-		if cap(o.unionPts) < len(union) {
-			o.unionPts = make([]pareto.Point, len(union))
-		}
-		pts := o.unionPts[:len(union)]
-		for i, ind := range union {
-			pts[i] = ind.Point()
-		}
-		selIdx, err := o.selectEnvironment(pts)
-		if err != nil {
-			return false, err
-		}
-		nextArchive := make([]Individual, len(selIdx))
-		for k, i := range selIdx {
-			nextArchive[k] = union[i]
-		}
-		// Environmental-selection truncation pressure: how many of the
-		// union's non-dominated points did not fit into the archive.
-		truncated := 0
-		if o.observed {
-			if fs := len(pareto.Front(pts)); fs > len(nextArchive) {
-				truncated = fs - len(nextArchive)
-			}
-		}
-		lap(phaseSelect)
-
-		// Mating selection over the new archive. frontBuf is the scratch
-		// buffer shared with Stats.Front; it is rebuilt from the archive
-		// individuals every generation, so consumers mutating or retaining
-		// it cannot corrupt the search state.
-		o.frontBuf = o.frontBuf[:0]
-		for _, ind := range nextArchive {
-			o.frontBuf = append(o.frontBuf, ind.Point())
-		}
-		archivePts := o.frontBuf
-		archiveFit := o.assignFitness(archivePts)
-
-		// Crossover + mutation produce the next population; a small
-		// immigrant quota keeps exploration pressure away from the current
-		// front.
-		immigrants := int(cfg.ImmigrantFraction * float64(cfg.PopulationSize))
-		genomes := make([]Genome, 0, cfg.PopulationSize)
-		for len(genomes) < cfg.PopulationSize-immigrants {
-			ia := emoo.BinaryTournament(archiveFit, o.rng)
-			ib := emoo.BinaryTournament(archiveFit, o.rng)
-			c1, c2, err := Crossover(nextArchive[ia].Genome, nextArchive[ib].Genome, o.rng)
-			if err != nil {
-				return false, err
-			}
-			for _, child := range []Genome{c1, c2} {
-				if len(genomes) >= cfg.PopulationSize-immigrants {
-					break
-				}
-				if o.rng.Float64() < cfg.MutationRate {
-					for k := 0; k < cfg.MutationsPerChild; k++ {
-						Mutate(child, cfg.MutationStyle, 1, o.rng)
-					}
-				}
-				if cfg.SymmetricOnly {
-					child.Symmetrize()
-				}
-				genomes = append(genomes, child)
-			}
-		}
-		for len(genomes) < cfg.PopulationSize {
-			g := NewRandomGenome(len(cfg.Prior), o.rng)
-			if cfg.SymmetricOnly {
-				g.Symmetrize()
-			}
-			genomes = append(genomes, g)
-		}
-		lap(phaseVary)
-
-		nextPopulation, err := o.realize(genomes)
-		if err != nil {
-			return false, err
-		}
-		lap(phaseEval)
-
-		// Three-set update (Section V-H).
-		improved := o.omega.UpdateAll(nextPopulation)
-		improved += o.omega.UpdateAll(nextArchive)
-		backfilled := o.omega.ImproveArchive(nextArchive)
-		lap(phaseOmega)
-
-		population = nextPopulation
-		archive = nextArchive
-		rs.population = population
-		rs.archive = archive
-
-		if o.observed {
-			st := Stats{
-				Generation:       gen,
-				Evaluations:      o.evaluations,
-				ArchiveSize:      len(archive),
-				OmegaOccupied:    o.omega.Len(),
-				OmegaImproved:    improved,
-				FrontHypervolume: pareto.Hypervolume(archivePts, 0, refUtility),
-				FrontSize:        len(pareto.Front(archivePts)),
-				Repairs:          o.tally.repairs,
-				RepairPushBack:   o.tally.pushBack,
-				Redraws:          o.tally.redraws,
-				Rejects:          o.tally.rejects,
-				Front:            archivePts,
-			}
-			st.Convergence = o.conv.observe(gen, st.FrontHypervolume, o.omega, archivePts)
-			o.emitGeneration(st, phases, o.evaluations-evalsBefore, truncated, backfilled)
-			o.emitConvergence(st.Convergence)
-			if cfg.Progress != nil {
-				cfg.Progress(st)
-			}
-		}
-
-		if cfg.StagnationLimit > 0 {
-			if improved == 0 {
-				rs.stagnant++
-				if rs.stagnant >= cfg.StagnationLimit {
-					rs.gen = gen + 1
-					rs.stagnated = true
-					return true, nil
-				}
-			} else {
-				rs.stagnant = 0
-			}
-		}
-	}
-	rs.gen = gen + 1
-	return false, nil
-}
-
-// finish folds the loop state into the run's Result and emits the done
-// event.
-func (o *Optimizer) finish(rs *runState) Result {
-	archive := rs.archive
-	front := o.omega.FrontSnapshot()
-	if !o.omega.Enabled() {
-		// Ablation mode: the archive itself is the output set.
-		archPts := make([]pareto.Point, len(archive))
-		for i, ind := range archive {
-			archPts[i] = ind.Point()
-		}
-		idx := pareto.Front(archPts)
-		front = make([]Individual, 0, len(idx))
-		for _, i := range idx {
-			front = append(front, Individual{Genome: archive[i].Genome.Clone(), Eval: archive[i].Eval})
-		}
 	}
 	res := Result{
 		Front:       front,
-		Archive:     archive,
+		Archive:     rs.archive,
 		Generations: rs.gen,
 		Evaluations: o.evaluations,
 		Stagnated:   rs.stagnated,
 	}
 	o.emitDone(res, rs.wallStart)
-	return res
+	return res, err
 }
 
-// assignFitness computes the configured engine's fitness over points. The
-// SPEA2 path runs on the optimizer's persistent scratch: the returned
-// Fitness aliases it and is valid until the next assignFitness or
-// selectEnvironment call.
-func (o *Optimizer) assignFitness(pts []pareto.Point) emoo.Fitness {
-	if o.cfg.Engine == EngineNSGA2 {
-		return emoo.NSGA2Fitness(pts)
+// initial builds the genomes of the initial population Q_0: any injected
+// seed genomes first (island mode's closed-form anchors; nil for the plain
+// search, which stays purely random), random genomes for the rest.
+func (o *Optimizer) initial(r *randx.Source) []Genome {
+	genomes := make([]Genome, 0, o.cfg.PopulationSize)
+	for _, g := range o.seedGenomes {
+		if len(genomes) >= o.cfg.PopulationSize {
+			break
+		}
+		genomes = append(genomes, g)
 	}
-	var mark time.Time
-	if o.timed {
-		mark = time.Now()
+	for len(genomes) < o.cfg.PopulationSize {
+		genomes = append(genomes, o.random(r))
 	}
-	fit := o.emooScratch.AssignFitness(pts, o.cfg.emooConfig())
-	if o.timed {
-		o.fitnessDur += time.Since(mark)
-	}
-	return fit
+	return genomes
 }
 
-// selectEnvironment runs the configured engine's environmental selection.
-// The returned index slice aliases the scratch and must be consumed before
-// the next scratch call.
-func (o *Optimizer) selectEnvironment(pts []pareto.Point) ([]int, error) {
-	if o.cfg.Engine == EngineNSGA2 {
-		return emoo.NSGA2Select(pts, o.cfg.ArchiveSize)
+// random draws a fresh random genome.
+func (o *Optimizer) random(r *randx.Source) Genome {
+	return NewRandomGenome(len(o.cfg.Prior), r)
+}
+
+// crossover is the paper's column-swap crossover.
+func (o *Optimizer) crossover(a, b Genome, r *randx.Source) (Genome, Genome, error) {
+	return Crossover(a, b, r)
+}
+
+// mutate applies the configured mutation style once.
+func (o *Optimizer) mutate(g Genome, r *randx.Source) {
+	Mutate(g, o.cfg.MutationStyle, 1, r)
+}
+
+// evaluate symmetrizes (SymmetricOnly), repairs or rejects (BoundMode) and
+// evaluates g through worker w's persistent workerScratch. A singular matrix,
+// an unrepairable bound or a failing custom objective voids the genome.
+func (o *Optimizer) evaluate(w int, g Genome) (metrics.Evaluation, genomeOutcome) {
+	cfg := o.cfg
+	sc := o.workers[w]
+	var c genomeOutcome
+	if cfg.SymmetricOnly {
+		g.Symmetrize()
 	}
-	fit := o.assignFitness(pts)
-	var mark time.Time
-	if o.timed {
-		mark = time.Now()
+	var m *rr.Matrix
+	switch cfg.BoundMode {
+	case BoundReject:
+		var err error
+		m, err = sc.matrixFor(g)
+		if err != nil {
+			return metrics.Evaluation{}, c
+		}
+		holds, err := sc.ws.MeetsBound(m, cfg.Prior, cfg.Delta)
+		if err != nil || !holds {
+			c.rejected = true
+			return metrics.Evaluation{}, c
+		}
+	default:
+		feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
+		c.repaired = rst.Rounds > 0 || rst.Blended
+		c.pushBack = rst.PushBack
+		if !feasible {
+			return metrics.Evaluation{}, c
+		}
+		var err error
+		m, err = sc.matrixFor(g)
+		if err != nil {
+			return metrics.Evaluation{}, c
+		}
 	}
-	sel, err := o.emooScratch.SelectEnvironment(pts, fit, o.cfg.ArchiveSize, o.cfg.emooConfig())
-	if o.timed {
-		o.truncateDur += time.Since(mark)
+	ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
+	if err != nil {
+		return metrics.Evaluation{}, c // singular: inversion utility undefined
 	}
-	return sel, err
+	// Extra objectives run while the workspace still holds this matrix's P*
+	// and inverse; a failing objective voids the individual like a singular
+	// matrix does.
+	ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
+	if err != nil {
+		return metrics.Evaluation{}, c
+	}
+	if cfg.PrivacyFn != nil {
+		priv, err := cfg.PrivacyFn(m, cfg.Prior)
+		if err != nil {
+			return metrics.Evaluation{}, c
+		}
+		ev.Privacy = priv
+	}
+	c.ok = true
+	return ev, c
 }
 
 // referenceUtility is the hypervolume reference: the closed-form utility of
@@ -846,185 +607,4 @@ func (o *Optimizer) referenceUtility() float64 {
 		}
 	}
 	return 1
-}
-
-// seedPopulation builds the initial population Q_0: any injected seed
-// genomes first (island mode's closed-form anchors; nil for the plain
-// search, which stays purely random and bit-for-bit unchanged), random
-// genomes for the rest, everything repaired (or re-drawn) until feasible.
-func (o *Optimizer) seedPopulation() ([]Individual, error) {
-	n := len(o.cfg.Prior)
-	genomes := make([]Genome, 0, o.cfg.PopulationSize)
-	for _, g := range o.seedGenomes {
-		if len(genomes) >= o.cfg.PopulationSize {
-			break
-		}
-		if o.cfg.SymmetricOnly {
-			g.Symmetrize()
-		}
-		genomes = append(genomes, g)
-	}
-	for len(genomes) < o.cfg.PopulationSize {
-		g := NewRandomGenome(n, o.rng)
-		if o.cfg.SymmetricOnly {
-			g.Symmetrize()
-		}
-		genomes = append(genomes, g)
-	}
-	return o.realize(genomes)
-}
-
-// realize repairs, evaluates and — where evaluation is impossible (singular
-// matrix, unrepairable bound) — replaces genomes with fresh random feasible
-// ones. Repair and evaluation are pure, so they run on a worker pool, each
-// worker evaluating through its own persistent workerScratch; genome
-// replacement draws from the sequential RNG to keep runs deterministic.
-func (o *Optimizer) realize(genomes []Genome) ([]Individual, error) {
-	cfg := o.cfg
-	out := make([]Individual, len(genomes))
-	if cap(o.outcomes) < len(genomes) {
-		o.outcomes = make([]genomeOutcome, len(genomes))
-	}
-	oc := o.outcomes[:len(genomes)]
-
-	process := func(g Genome, sc *workerScratch) (Individual, genomeOutcome) {
-		var c genomeOutcome
-		var m *rr.Matrix
-		switch cfg.BoundMode {
-		case BoundReject:
-			var err error
-			m, err = sc.matrixFor(g)
-			if err != nil {
-				return Individual{}, c
-			}
-			holds, err := sc.ws.MeetsBound(m, cfg.Prior, cfg.Delta)
-			if err != nil || !holds {
-				c.rejected = true
-				return Individual{}, c
-			}
-		default:
-			feasible, rst := meetBoundStats(g, cfg.Prior, cfg.Delta, cfg.SymmetricOnly, sc.slackFor(g.N()))
-			c.repaired = rst.Rounds > 0 || rst.Blended
-			c.pushBack = rst.PushBack
-			if !feasible {
-				return Individual{}, c
-			}
-			var err error
-			m, err = sc.matrixFor(g)
-			if err != nil {
-				return Individual{}, c
-			}
-		}
-		ev, err := sc.ws.Evaluate(m, cfg.Prior, cfg.Records)
-		if err != nil {
-			return Individual{}, c // singular: inversion utility undefined
-		}
-		// Extra objectives run while the workspace still holds this matrix's
-		// P* and inverse; a failing objective voids the individual like a
-		// singular matrix does.
-		ev.Extra, err = evalExtras(sc.ws, m, cfg.Prior, cfg.Records, cfg.Objectives)
-		if err != nil {
-			return Individual{}, c
-		}
-		if cfg.PrivacyFn != nil {
-			priv, err := cfg.PrivacyFn(m, cfg.Prior)
-			if err != nil {
-				return Individual{}, c
-			}
-			ev.Privacy = priv
-		}
-		c.ok = true
-		return Individual{Genome: g, Eval: ev}, c
-	}
-
-	o.parallelFor(len(genomes), func(w, i int) {
-		out[i], oc[i] = process(genomes[i], o.workers[w])
-	})
-	o.evaluations += len(genomes)
-	for i := range oc {
-		o.tally.add(oc[i])
-	}
-
-	// Replace failures sequentially (deterministic RNG use), re-drawing
-	// until feasible. A fresh Dirichlet genome repairs successfully with
-	// overwhelming probability, so this loop terminates quickly; a safety
-	// budget guards pathological configurations.
-	const maxRedraws = 10000
-	redraws := 0
-	for i := range out {
-		for !oc[i].ok {
-			if redraws++; redraws > maxRedraws {
-				return nil, fmt.Errorf("%w: could not generate a feasible matrix for delta=%v", ErrInfeasibleBound, cfg.Delta)
-			}
-			g := NewRandomGenome(len(cfg.Prior), o.rng)
-			if cfg.SymmetricOnly {
-				g.Symmetrize()
-			}
-			out[i], oc[i] = process(g, o.workers[0])
-			o.evaluations++
-			o.tally.redraws++
-			o.tally.add(oc[i])
-		}
-	}
-	return out, nil
-}
-
-// genomeOutcome is one genome's trip through realize, for tallying.
-type genomeOutcome struct {
-	ok       bool
-	repaired bool
-	pushBack float64
-	rejected bool
-}
-
-// add folds one outcome into the generation's tally.
-func (t *generationTally) add(c genomeOutcome) {
-	if c.repaired {
-		t.repairs++
-	}
-	t.pushBack += c.pushBack
-	if c.rejected {
-		t.rejects++
-	}
-}
-
-// parallelFor runs fn(worker, i) for i in [0, n) on the configured worker
-// count. The worker index identifies which goroutine is calling, so callers
-// can hand each goroutine exclusive scratch state; the index partition never
-// affects results because scratch contents are overwritten per item.
-func (o *Optimizer) parallelFor(n int, fn func(worker, i int)) {
-	parallelWork(o.cfg.Workers, n, fn)
-}
-
-// parallelWork is the shared work-distribution kernel behind the 1-D and
-// multi-attribute realizes: fn(worker, i) for i in [0, n) across the given
-// worker count, with the worker index naming the calling goroutine so each
-// can own exclusive scratch. Results must be written to per-index slots; the
-// dynamic item-to-worker assignment then never affects outputs.
-func parallelWork(workers, n int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				fn(w, i)
-			}
-		}(w)
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }

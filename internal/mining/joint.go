@@ -3,7 +3,7 @@
 //
 //   - multi-dimensional randomized response — the paper's stated future
 //     work (Section VII): each attribute is disguised independently and the
-//     joint distribution is reconstructed by per-axis inversion;
+//     joint distribution is reconstructed by the Kronecker-factored inverse;
 //   - decision-tree building on reconstructed distributions, in the style
 //     of Du & Zhan (KDD 2003);
 //   - association-rule mining with reconstructed supports, in the style of
@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 
-	"optrr/internal/matrix"
 	"optrr/internal/randx"
 	"optrr/internal/rr"
 )
@@ -34,8 +33,8 @@ var (
 // MultiRR disguises and reconstructs multi-attribute categorical data by
 // applying an independent RR matrix per attribute. The joint disguise
 // channel is the Kronecker product of the per-attribute matrices, so the
-// joint distribution is reconstructed by inverting one axis at a time —
-// never materializing the exponentially large product matrix.
+// joint distribution is reconstructed through the factored inverse
+// ⊗M_d⁻¹ — never materializing the exponentially large product matrix.
 type MultiRR struct {
 	ms    []*rr.Matrix
 	sizes []int
@@ -156,11 +155,11 @@ func (mr *MultiRR) EmpiricalJoint(records [][]int) ([]float64, error) {
 }
 
 // EstimateJoint reconstructs the original joint distribution from disguised
-// records: the empirical disguised joint is computed and each axis is
-// inverted with that attribute's matrix (Theorem 1 applied per axis). The
-// estimate is unbiased but, like the one-dimensional inversion estimate, may
-// contain small negative entries for finite samples; use rr.Clip if a proper
-// distribution is required.
+// records: the empirical disguised joint is multiplied by the factored
+// inverse (⊗M_d)⁻¹ = ⊗M_d⁻¹ (Theorem 1 applied per axis), the same
+// reconstruction as rr.TupleEstimateJoint. The estimate is unbiased but, like
+// the one-dimensional inversion estimate, may contain small negative entries
+// for finite samples; use rr.Clip if a proper distribution is required.
 func (mr *MultiRR) EstimateJoint(disguised [][]int) ([]float64, error) {
 	joint, err := mr.EmpiricalJoint(disguised)
 	if err != nil {
@@ -169,43 +168,9 @@ func (mr *MultiRR) EstimateJoint(disguised [][]int) ([]float64, error) {
 	return mr.invertAxes(joint)
 }
 
-// invertAxes applies M_d⁻¹ along every axis of the flattened joint table.
+// invertAxes applies (⊗M_d)⁻¹ to the flattened joint table.
 func (mr *MultiRR) invertAxes(joint []float64) ([]float64, error) {
-	out := make([]float64, len(joint))
-	copy(out, joint)
-	// Strides for row-major layout.
-	strides := make([]int, len(mr.sizes))
-	stride := 1
-	for d := len(mr.sizes) - 1; d >= 0; d-- {
-		strides[d] = stride
-		stride *= mr.sizes[d]
-	}
-	for d, m := range mr.ms {
-		lu, err := matrix.Factorize(m.Dense())
-		if err != nil {
-			return nil, fmt.Errorf("mining: attribute %d: %w", d, err)
-		}
-		size := mr.sizes[d]
-		st := strides[d]
-		block := st * size
-		fiber := make([]float64, size)
-		for base := 0; base < mr.total; base += block {
-			for off := 0; off < st; off++ {
-				start := base + off
-				for i := 0; i < size; i++ {
-					fiber[i] = out[start+i*st]
-				}
-				solved, err := lu.SolveVec(fiber)
-				if err != nil {
-					return nil, fmt.Errorf("mining: attribute %d: %w", d, err)
-				}
-				for i := 0; i < size; i++ {
-					out[start+i*st] = solved[i]
-				}
-			}
-		}
-	}
-	return out, nil
+	return rr.TupleInvertJoint(mr.ms, joint)
 }
 
 // Marginal sums the joint distribution over every attribute except the ones

@@ -138,9 +138,28 @@ func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
 	for i := range counts {
 		counts[i] *= invN
 	}
-	factors := make([]*matrix.Dense, attrs)
+	return TupleInvertJoint(ms, counts)
+}
+
+// TupleInvertJoint applies the factored inverse (⊗M_d)⁻¹ = ⊗M_d⁻¹ to a
+// distribution over the product space (row-major, attribute 0 slowest) —
+// the inversion step of TupleEstimateJoint, for callers that already hold
+// the disguised joint. It returns ErrSingular if any attribute's matrix is
+// singular.
+func TupleInvertJoint(ms []*Matrix, joint []float64) ([]float64, error) {
+	if err := validateTuple(ms); err != nil {
+		return nil, err
+	}
+	dims := make([]int, len(ms))
+	factors := make([]*matrix.Dense, len(ms))
+	cells := 1
 	for d, m := range ms {
+		dims[d] = m.N()
 		factors[d] = m.DenseView()
+		cells *= m.N()
+	}
+	if len(joint) != cells {
+		return nil, fmt.Errorf("%w: joint of %d cells, want %d", ErrShape, len(joint), cells)
 	}
 	theta, err := matrix.NewKron(factors...)
 	if err != nil {
@@ -155,7 +174,7 @@ func TupleEstimateJoint(ms []*Matrix, disguised [][]int) ([]float64, error) {
 	}
 	est := make([]float64, cells)
 	tmp := make([]float64, cells)
-	if err := inv.MulVecInto(est, counts, tmp); err != nil {
+	if err := inv.MulVecInto(est, joint, tmp); err != nil {
 		return nil, err
 	}
 	return est, nil
