@@ -265,6 +265,8 @@ func (s *search[G]) stepGeneration(rs *runState[G]) (bool, error) {
 	parent := func() G { return nextArchive[emoo.BinaryTournament(archiveFit, s.rng)].Genome }
 	genomes := make([]G, 0, cfg.PopulationSize)
 	for len(genomes) < cfg.PopulationSize-immigrants {
+		// Go evaluates the two parent() calls left to right, so the
+		// tournament draws stay in a fixed order.
 		c1, c2, err := s.geno.crossover(parent(), parent(), s.rng)
 		if err != nil {
 			return false, err
