@@ -11,7 +11,9 @@
 #                  live scrapes by design — plus the rrserver collection
 #                  service, its SDK and the sketch scheme) and the
 #                  worker-parallel paths (experiment grid, batch
-#                  disguise/sampling); the island scheduler and the sharded
+#                  disguise/sampling — the 1-D kernel and the
+#                  multi-attribute rr.Product kernel, whose batch tests
+#                  are named TestTuple*); the island scheduler and the sharded
 #                  collector (dense and sketch schemes) additionally run
 #                  under -cpu 1,4 to exercise both the single-P and multi-P
 #                  schedules

@@ -12,9 +12,9 @@
 //
 // With -sizes, each input line is a multi-attribute record (values separated
 // by commas or spaces) and attribute d is disguised independently with
-// Warner(-warner) over sizes[d] categories — the Kronecker-factored tuple
-// kernel, so arbitrarily large product spaces never materialize a joint
-// matrix.
+// Warner(-warner) over sizes[d] categories — the Kronecker-factored
+// rr.Product kernel, so large product spaces never materialize a joint
+// matrix (the cell count must still fit in an int).
 //
 // Sampling and disguising both run on the batched kernels: fixed
 // 8192-record chunks with per-chunk streams derived from -seed, fanned out
@@ -196,8 +196,8 @@ func parseSizes(s string) ([]int, error) {
 
 // disguiseTupleFile disguises a multi-attribute data file — one record per
 // line, attribute values separated by commas or spaces — applying
-// Warner(p) over sizes[d] categories to attribute d with the batched tuple
-// kernel. Output records are comma-separated. Returns how many records it
+// Warner(p) over sizes[d] categories to attribute d with the batched
+// rr.Product kernel. Output records are comma-separated. Returns how many records it
 // wrote.
 func disguiseTupleFile(path string, sizes []int, p float64, seed uint64, workers int, out *bufio.Writer) (int, error) {
 	ms := make([]*rr.Matrix, len(sizes))
@@ -237,7 +237,11 @@ func disguiseTupleFile(path string, sizes []int, p float64, seed uint64, workers
 	if err := sc.Err(); err != nil {
 		return 0, err
 	}
-	disguised, err := rr.TupleDisguiseBatch(ms, recs, seed, workers)
+	prod, err := rr.NewProduct(ms...)
+	if err != nil {
+		return 0, err
+	}
+	disguised, err := prod.DisguiseBatch(recs, seed, workers)
 	if err != nil {
 		return 0, err
 	}

@@ -118,22 +118,7 @@ func main() {
 
 	// Disguise (the data owners' side).
 	stageStart = time.Now()
-	rng := randx.New(*seed)
-	ms := make([]*rr.Matrix, len(attrs))
-	for d, a := range attrs {
-		m, err := rr.Warner(len(a.Categories), *warnerP)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ms[d] = m
-	}
-	mr, err := mining.NewMultiRR(ms...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	disguised, err := mr.Disguise(table.Rows(), rng)
+	mr, disguised, err := disguiseTable(table, *warnerP, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -145,16 +130,7 @@ func main() {
 	stageStart = time.Now()
 	fmt.Println("reconstructed marginals (clean value in parentheses):")
 	for d, a := range attrs {
-		sub, err := mining.NewMultiRR(ms[d])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		col := make([][]int, len(disguised))
-		for i, row := range disguised {
-			col[i] = []int{row[d]}
-		}
-		est, err := sub.EstimateJoint(col)
+		est, err := mr.EstimateAttributes(disguised, []int{d})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -230,6 +206,30 @@ func main() {
 		fmt.Printf("\nnaive Bayes (trained on disguised rows): %.1f%% accuracy on clean rows\n", 100*acc)
 		stage("bayes", stageStart, obs.Fields{"accuracy": acc})
 	}
+}
+
+// disguiseTable disguises every attribute of table with Warner(warnerP)
+// through one product channel, as the data owners would. It fails, before
+// drawing anything, when the table's product space does not fit in an int.
+func disguiseTable(table *dataset.Table, warnerP float64, seed uint64) (*rr.Product, [][]int, error) {
+	attrs := table.Attributes()
+	ms := make([]*rr.Matrix, len(attrs))
+	for d, a := range attrs {
+		m, err := rr.Warner(len(a.Categories), warnerP)
+		if err != nil {
+			return nil, nil, err
+		}
+		ms[d] = m
+	}
+	mr, err := rr.NewProduct(ms...)
+	if err != nil {
+		return nil, nil, err
+	}
+	disguised, err := mr.Disguise(table.Rows(), randx.New(seed))
+	if err != nil {
+		return nil, nil, err
+	}
+	return mr, disguised, nil
 }
 
 // validateFlags fails fast on flag values that would only be rejected after

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"optrr/internal/rr"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -88,5 +93,40 @@ func TestLoadTableSourceValidation(t *testing.T) {
 	}
 	if _, err := loadTable("/nonexistent.csv", false, 1); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestDisguiseTableRejectsOverflowingProduct loads a 64-column two-valued
+// CSV, whose 2^64-cell product space does not fit in an int: rrmine must
+// fail with rr.ErrShape before disguising rather than index out of range
+// in the joint estimate.
+func TestDisguiseTableRejectsOverflowingProduct(t *testing.T) {
+	var sb strings.Builder
+	for row := -1; row < 4; row++ {
+		for c := 0; c < 64; c++ {
+			if c > 0 {
+				sb.WriteByte(',')
+			}
+			switch {
+			case row < 0:
+				fmt.Fprintf(&sb, "a%d", c)
+			case (row+c)%2 == 0:
+				sb.WriteString("x")
+			default:
+				sb.WriteString("y")
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	table, err := loadTable(path, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := disguiseTable(table, 0.8, 1); !errors.Is(err, rr.ErrShape) {
+		t.Fatalf("64 binary attributes: err = %v, want rr.ErrShape", err)
 	}
 }

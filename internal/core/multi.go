@@ -39,7 +39,7 @@ import (
 type MultiConfig struct {
 	// Joint is the original joint distribution over the product space
 	// (row-major, attribute 0 slowest), e.g. from
-	// mining.MultiRR.EmpiricalJoint on clean calibration data.
+	// rr.Product.EmpiricalJoint on clean calibration data.
 	Joint []float64
 	// Sizes lists the per-attribute category counts; their product must be
 	// len(Joint).

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"optrr/internal/randx"
+	"optrr/internal/rr"
 )
 
 // Table is a multi-attribute categorical data set: named attributes, each
@@ -177,7 +178,7 @@ func ReadCSV(r io.Reader, schema []Attribute) (*Table, error) {
 	cr.TrimLeadingSpace = true
 	records, err := cr.ReadAll()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadTable, err)
+		return nil, fmt.Errorf("%w: %w", ErrBadTable, err)
 	}
 	if len(records) < 1 {
 		return nil, fmt.Errorf("%w: empty input", ErrBadTable)
@@ -285,26 +286,25 @@ func SyntheticTable(attrs []Attribute, joint []float64, rows int, r *randx.Sourc
 	if err != nil {
 		return nil, err
 	}
-	sizes := t.Sizes()
-	total := 1
-	for _, s := range sizes {
-		total *= s
+	// The product of identity channels is the plain product space of the
+	// schema, so its Unindex decodes a drawn joint cell into a row.
+	ids := make([]*rr.Matrix, len(attrs))
+	for d, n := range t.Sizes() {
+		ids[d] = rr.Identity(n)
 	}
-	if len(joint) != total {
-		return nil, fmt.Errorf("%w: joint has %d cells, want %d", ErrBadTable, len(joint), total)
+	space, err := rr.NewProduct(ids...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadTable, err)
+	}
+	if len(joint) != space.Cells() {
+		return nil, fmt.Errorf("%w: joint has %d cells, want %d", ErrBadTable, len(joint), space.Cells())
 	}
 	alias, err := randx.NewAlias(joint)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	row := make([]int, len(sizes))
 	for i := 0; i < rows; i++ {
-		idx := alias.Draw(r)
-		for d := len(sizes) - 1; d >= 0; d-- {
-			row[d] = idx % sizes[d]
-			idx /= sizes[d]
-		}
-		if err := t.Append(row); err != nil {
+		if err := t.Append(space.Unindex(alias.Draw(r))); err != nil {
 			return nil, err
 		}
 	}

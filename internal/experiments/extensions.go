@@ -363,19 +363,18 @@ func init() {
 // a common range), so the joint is not a product of marginals.
 func extJointScaleWorld() ([]float64, []int) {
 	sizes := []int{8, 7, 6, 5, 4, 3}
-	total := 1
-	for _, n := range sizes {
-		total *= n
+	ids := make([]*rr.Matrix, len(sizes))
+	for d, n := range sizes {
+		ids[d] = rr.Identity(n)
 	}
-	joint := make([]float64, total)
+	space, err := rr.NewProduct(ids...)
+	if err != nil {
+		panic(err) // unreachable: fixed, non-empty sizes
+	}
+	joint := make([]float64, space.Cells())
 	var sum float64
-	rec := make([]int, len(sizes))
-	for idx := 0; idx < total; idx++ {
-		v := idx
-		for d := len(sizes) - 1; d >= 0; d-- {
-			rec[d] = v % sizes[d]
-			v /= sizes[d]
-		}
+	for idx := range joint {
+		rec := space.Unindex(idx)
 		lo, hi := 1.0, 0.0
 		for d, n := range sizes {
 			f := float64(rec[d]) / float64(n-1)

@@ -450,3 +450,48 @@ func BenchmarkMul10(b *testing.B) {
 		}
 	}
 }
+
+// TestLUReuseAcrossMixedSizes pins the workspace contract of (*LU).Factorize
+// on the mixed factor sizes a Kronecker inversion cycles through: a reused
+// workspace yields bit-for-bit the inverse and determinant of a fresh one,
+// and once it has seen the largest size it never allocates again.
+func TestLUReuseAcrossMixedSizes(t *testing.T) {
+	r := randx.New(8)
+	ms := []*Dense{randomMatrix(r, 6, 6), randomMatrix(r, 3, 3), randomMatrix(r, 5, 5), randomMatrix(r, 1, 1), randomMatrix(r, 6, 6)}
+	f := NewLU()
+	for _, a := range ms {
+		if err := f.Factorize(a); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Factorize(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := f.Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Inverse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range want.data {
+			if math.Float64bits(got.data[i]) != math.Float64bits(v) {
+				t.Fatalf("%dx%d: reused inverse entry %d = %v, fresh %v", a.rows, a.rows, i, got.data[i], v)
+			}
+		}
+		if math.Float64bits(f.Det()) != math.Float64bits(fresh.Det()) {
+			t.Fatalf("%dx%d: reused det %v, fresh %v", a.rows, a.rows, f.Det(), fresh.Det())
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, a := range ms {
+			if err := f.Factorize(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Factorize over mixed sizes allocates %v times per pass, want 0", allocs)
+	}
+}

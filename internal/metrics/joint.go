@@ -29,27 +29,24 @@ const maxJointCells = 1 << 14
 // JointChannel materializes the Kronecker-product channel of the given
 // per-attribute matrices as a single RR matrix over the product category
 // space. The result's category c = ((i₁·n₂)+i₂)·n₃+… follows row-major
-// (attribute-0 slowest) ordering, matching mining.MultiRR.Index.
+// (attribute-0 slowest) ordering: rr.Product.Index order.
 func JointChannel(ms []*rr.Matrix) (*rr.Matrix, error) {
-	if len(ms) == 0 {
-		return nil, fmt.Errorf("%w: no attributes", ErrShape)
+	prod, err := rr.NewProduct(ms...)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrShape, err)
 	}
-	total := 1
-	for _, m := range ms {
-		if m == nil {
-			return nil, fmt.Errorf("%w: nil matrix", ErrShape)
-		}
-		total *= m.N()
-	}
+	total := prod.Cells()
 	if total > maxJointCells {
 		return nil, fmt.Errorf("%w: joint space of %d cells exceeds limit %d", ErrShape, total, maxJointCells)
 	}
+	digits := make([][]int, total)
+	for c := range digits {
+		digits[c] = prod.Unindex(c)
+	}
 	dense := matrix.New(total, total)
 	// dense[j][i] = Π_d ms[d].Theta(j_d, i_d).
-	for j := 0; j < total; j++ {
-		jd := unravel(j, ms)
-		for i := 0; i < total; i++ {
-			id := unravel(i, ms)
+	for j, jd := range digits {
+		for i, id := range digits {
 			v := 1.0
 			for d, m := range ms {
 				v *= m.Theta(jd[d], id[d])
@@ -61,29 +58,6 @@ func JointChannel(ms []*rr.Matrix) (*rr.Matrix, error) {
 		}
 	}
 	return rr.FromDense(dense)
-}
-
-// unravel decomposes a flat product-space index into per-attribute digits
-// (row-major, attribute 0 slowest). The inverse is ravel; the pair is pinned
-// by FuzzJointIndexRoundTrip.
-func unravel(idx int, ms []*rr.Matrix) []int {
-	out := make([]int, len(ms))
-	for d := len(ms) - 1; d >= 0; d-- {
-		n := ms[d].N()
-		out[d] = idx % n
-		idx /= n
-	}
-	return out
-}
-
-// ravel recomposes per-attribute digits into the flat product-space index:
-// idx = ((rec_0·n_1 + rec_1)·n_2 + …, matching mining.MultiRR.Index.
-func ravel(rec []int, ms []*rr.Matrix) int {
-	idx := 0
-	for d, m := range ms {
-		idx = idx*m.N() + rec[d]
-	}
-	return idx
 }
 
 // JointPrivacy returns the record-level privacy of disguising d attributes

@@ -1,17 +1,19 @@
 package metrics
 
 import (
+	"math"
 	"testing"
 
 	"optrr/internal/rr"
 )
 
-// FuzzJointIndexRoundTrip pins the product-space index math of joint.go:
-// ravel and unravel must be mutual inverses for every attribute shape, every
-// digit must stay in range, and the flattening must be row-major with
-// attribute 0 slowest (adjacent flat indices differ in the last attribute
-// first) — the convention mining.MultiRR.Index and the Kronecker factor
-// ordering both rely on.
+// FuzzJointIndexRoundTrip pins the cell layout of the dense oracle against
+// the product-space index math it is built over: for every attribute shape,
+// JointChannel's entry (j, i) is the product of the per-attribute entries at
+// the digits rr.Product.Unindex gives for j and i, and those digits index
+// back to j and i. The index math itself is fuzzed in rr
+// (FuzzProductIndexRoundTrip); this keeps the oracle on the same row-major,
+// attribute-0-slowest convention as the factored JointWorkspace.
 func FuzzJointIndexRoundTrip(f *testing.F) {
 	f.Add(uint16(0), byte(3), byte(2), byte(4))
 	f.Add(uint16(23), byte(2), byte(2), byte(0))
@@ -28,43 +30,41 @@ func FuzzJointIndexRoundTrip(f *testing.F) {
 			sizes = append(sizes, 2+int(s3)%8)
 		}
 		ms := make([]*rr.Matrix, len(sizes))
-		total := 1
 		for d, n := range sizes {
-			ms[d] = rr.Identity(n)
-			total *= n
-		}
-		idx := int(rawIdx) % total
-
-		rec := unravel(idx, ms)
-		if len(rec) != len(ms) {
-			t.Fatalf("unravel(%d) has %d digits, want %d", idx, len(rec), len(ms))
-		}
-		for d, v := range rec {
-			if v < 0 || v >= sizes[d] {
-				t.Fatalf("unravel(%d)[%d] = %d out of range [0,%d)", idx, d, v, sizes[d])
+			m, err := rr.Warner(n, 0.5+0.1*float64(d))
+			if err != nil {
+				t.Fatal(err)
 			}
+			ms[d] = m
 		}
-		if back := ravel(rec, ms); back != idx {
-			t.Fatalf("ravel(unravel(%d)) = %d", idx, back)
+		prod, err := rr.NewProduct(ms...)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// Row-major adjacency: incrementing the last digit (when it has
-		// room) increments the flat index by exactly one.
-		last := len(sizes) - 1
-		if rec[last]+1 < sizes[last] {
-			rec[last]++
-			if got := ravel(rec, ms); got != idx+1 {
-				t.Fatalf("last-digit increment of %d gave %d, want %d", idx, got, idx+1)
-			}
-			rec[last]--
+		ch, err := JointChannel(ms)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		// Round trip in the other direction from the digits.
-		if again := unravel(ravel(rec, ms), ms); len(again) == len(rec) {
-			for d := range rec {
-				if again[d] != rec[d] {
-					t.Fatalf("unravel(ravel(%v)) = %v", rec, again)
-				}
+		total := prod.Cells()
+		if ch.N() != total {
+			t.Fatalf("oracle has %d categories, product %d cells", ch.N(), total)
+		}
+		j := int(rawIdx) % total
+		i := (int(rawIdx)*7 + 3) % total
+		jd, id := prod.Unindex(j), prod.Unindex(i)
+		want := 1.0
+		for d, m := range ms {
+			want *= m.Theta(jd[d], id[d])
+		}
+		if got := ch.Theta(j, i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("oracle (%d,%d) = %v, product of per-attribute entries at %v,%v = %v", j, i, got, jd, id, want)
+		}
+		for _, c := range []struct {
+			idx    int
+			digits []int
+		}{{j, jd}, {i, id}} {
+			if back, err := prod.Index(c.digits); err != nil || back != c.idx {
+				t.Fatalf("Index(Unindex(%d)) = %d, %v", c.idx, back, err)
 			}
 		}
 	})

@@ -32,9 +32,13 @@ type Rule struct {
 	Confidence float64
 }
 
-// BasketMiner estimates itemset supports from disguised basket data.
+// BasketMiner estimates itemset supports from disguised basket data. It
+// holds the per-item matrices rather than one rr.Product over every item:
+// baskets routinely have more items than a product space indexable by int
+// (2^63 cells at 63 binary items), and a support only ever needs the
+// product channel of its own itemset.
 type BasketMiner struct {
-	mr        *MultiRR
+	ms        []*rr.Matrix
 	disguised [][]int
 }
 
@@ -42,28 +46,32 @@ type BasketMiner struct {
 // per item) together with the per-item RR matrices that disguised them.
 // Every matrix must be 2×2.
 func NewBasketMiner(ms []*rr.Matrix, disguised [][]int) (*BasketMiner, error) {
+	if len(ms) == 0 {
+		return nil, fmt.Errorf("%w: no items", ErrSchema)
+	}
 	for i, m := range ms {
 		if m == nil || m.N() != 2 {
 			return nil, fmt.Errorf("%w: item %d needs a 2x2 matrix", ErrSchema, i)
 		}
 	}
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		return nil, err
-	}
 	if len(disguised) == 0 {
 		return nil, ErrNoData
 	}
 	for k, rec := range disguised {
-		if err := mr.checkRecord(rec); err != nil {
-			return nil, fmt.Errorf("basket %d: %w", k, err)
+		if len(rec) != len(ms) {
+			return nil, fmt.Errorf("%w: basket %d has %d items, want %d", ErrSchema, k, len(rec), len(ms))
+		}
+		for i, v := range rec {
+			if v != 0 && v != 1 {
+				return nil, fmt.Errorf("%w: basket %d has value %d for item %d", ErrSchema, k, v, i)
+			}
 		}
 	}
-	return &BasketMiner{mr: mr, disguised: disguised}, nil
+	return &BasketMiner{ms: ms, disguised: disguised}, nil
 }
 
 // Items returns the number of item columns.
-func (bm *BasketMiner) Items() int { return bm.mr.Attributes() }
+func (bm *BasketMiner) Items() int { return len(bm.ms) }
 
 // Support reconstructs the support of an itemset: the probability that all
 // listed items are 1 in the original data. The reconstruction inverts only
@@ -79,11 +87,11 @@ func (bm *BasketMiner) Support(items []int) (float64, error) {
 			return 0, fmt.Errorf("%w: bad item %d", ErrSchema, it)
 		}
 		seen[it] = true
-		ms[i] = bm.mr.Matrix(it)
+		ms[i] = bm.ms[it]
 	}
-	sub, err := NewMultiRR(ms...)
+	sub, err := rr.NewProduct(ms...)
 	if err != nil {
-		return 0, err
+		return 0, wrapRR(err)
 	}
 	proj := make([][]int, len(bm.disguised))
 	for k, rec := range bm.disguised {
@@ -95,7 +103,7 @@ func (bm *BasketMiner) Support(items []int) (float64, error) {
 	}
 	joint, err := sub.EstimateJoint(proj)
 	if err != nil {
-		return 0, err
+		return 0, wrapRR(err)
 	}
 	// Support is the all-ones cell, the last index in row-major layout.
 	return joint[len(joint)-1], nil

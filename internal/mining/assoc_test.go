@@ -109,10 +109,7 @@ func TestSupportRecoversTrueSupport(t *testing.T) {
 	const nItems = 5
 	baskets := basketWorld(nItems, 80000, r)
 	ms := binaryMatrices(t, nItems, 0.85)
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mr := mustProduct(t, ms...)
 	disguised, err := mr.Disguise(baskets, r)
 	if err != nil {
 		t.Fatal(err)
@@ -138,10 +135,7 @@ func TestFrequentItemsetsFindsPlantedPair(t *testing.T) {
 	const nItems = 5
 	baskets := basketWorld(nItems, 60000, r)
 	ms := binaryMatrices(t, nItems, 0.85)
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mr := mustProduct(t, ms...)
 	disguised, err := mr.Disguise(baskets, r)
 	if err != nil {
 		t.Fatal(err)
@@ -200,10 +194,7 @@ func TestRulesRecoverPlantedImplication(t *testing.T) {
 	const nItems = 4
 	baskets := basketWorld(nItems, 60000, r)
 	ms := binaryMatrices(t, nItems, 0.85)
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mr := mustProduct(t, ms...)
 	disguised, err := mr.Disguise(baskets, r)
 	if err != nil {
 		t.Fatal(err)
@@ -267,10 +258,7 @@ func BenchmarkSupportPair(b *testing.B) {
 	r := randx.New(1)
 	baskets := basketWorld(6, 10000, r)
 	ms := binaryMatrices(b, 6, 0.85)
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		b.Fatal(err)
-	}
+	mr := mustProduct(b, ms...)
 	disguised, err := mr.Disguise(baskets, r)
 	if err != nil {
 		b.Fatal(err)
@@ -284,5 +272,30 @@ func BenchmarkSupportPair(b *testing.B) {
 		if _, err := bm.Support([]int{0, 1}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBasketMinerManyItems: supports need only their itemset's product
+// channel, so a basket with more items than an int-indexable product space
+// (70 binary items, 2^70 cells) still mines.
+func TestBasketMinerManyItems(t *testing.T) {
+	const nItems = 70
+	baskets := make([][]int, 400)
+	for k := range baskets {
+		baskets[k] = make([]int, nItems)
+		if k%2 == 0 {
+			baskets[k][0], baskets[k][nItems-1] = 1, 1
+		}
+	}
+	bm, err := NewBasketMiner(binaryMatrices(t, nItems, 1), baskets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := bm.Support([]int{0, nItems - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(s-0.5) > 1e-12 {
+		t.Fatalf("support = %v, want 0.5", s)
 	}
 }

@@ -27,7 +27,7 @@ type NaiveBayes struct {
 // clipped onto the simplex and Laplace-smoothed with the given alpha
 // (relative to a nominal record count of len(disguised)); alpha zero means
 // 1.
-func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float64) (*NaiveBayes, error) {
+func TrainNaiveBayes(mr *rr.Product, disguised [][]int, classAttr int, alpha float64) (*NaiveBayes, error) {
 	if classAttr < 0 || classAttr >= mr.Attributes() {
 		return nil, fmt.Errorf("%w: class attribute %d", ErrSchema, classAttr)
 	}
@@ -41,20 +41,9 @@ func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float6
 	nClass := mr.Sizes()[classAttr]
 
 	// Class prior from the class attribute's one-dimensional reconstruction.
-	classCol := make([][]int, len(disguised))
-	for k, rec := range disguised {
-		if err := mr.checkRecord(rec); err != nil {
-			return nil, fmt.Errorf("record %d: %w", k, err)
-		}
-		classCol[k] = []int{rec[classAttr]}
-	}
-	classRR, err := NewMultiRR(mr.Matrix(classAttr))
+	rawPrior, err := mr.EstimateAttributes(disguised, []int{classAttr})
 	if err != nil {
-		return nil, err
-	}
-	rawPrior, err := classRR.EstimateJoint(classCol)
-	if err != nil {
-		return nil, err
+		return nil, wrapRR(err)
 	}
 	prior := smooth(rr.Clip(rawPrior), alpha, n)
 
@@ -68,17 +57,9 @@ func TrainNaiveBayes(mr *MultiRR, disguised [][]int, classAttr int, alpha float6
 		if d == classAttr {
 			continue
 		}
-		pairRR, err := NewMultiRR(mr.Matrix(d), mr.Matrix(classAttr))
+		joint, err := mr.EstimateAttributes(disguised, []int{d, classAttr})
 		if err != nil {
-			return nil, err
-		}
-		pair := make([][]int, len(disguised))
-		for k, rec := range disguised {
-			pair[k] = []int{rec[d], rec[classAttr]}
-		}
-		joint, err := pairRR.EstimateJoint(pair)
-		if err != nil {
-			return nil, err
+			return nil, wrapRR(err)
 		}
 		sizeD := nb.sizes[d]
 		cond := make([]float64, nClass*sizeD)

@@ -60,7 +60,7 @@ func EffectiveSampleFactor(a, b *rr.Matrix) (float64, error) {
 // ChiSquareIndependence tests the independence of attributes attrA and
 // attrB from disguised records. The matrices in mr must be invertible for
 // the two attributes involved.
-func ChiSquareIndependence(mr *MultiRR, disguised [][]int, attrA, attrB int) (IndependenceResult, error) {
+func ChiSquareIndependence(mr *rr.Product, disguised [][]int, attrA, attrB int) (IndependenceResult, error) {
 	if attrA == attrB {
 		return IndependenceResult{}, fmt.Errorf("%w: testing an attribute against itself", ErrSchema)
 	}
@@ -72,24 +72,13 @@ func ChiSquareIndependence(mr *MultiRR, disguised [][]int, attrA, attrB int) (In
 	if len(disguised) == 0 {
 		return IndependenceResult{}, ErrNoData
 	}
-	ma, mb := mr.Matrix(attrA), mr.Matrix(attrB)
-	pair, err := NewMultiRR(ma, mb)
+	joint, err := mr.EstimateAttributes(disguised, []int{attrA, attrB})
 	if err != nil {
-		return IndependenceResult{}, err
-	}
-	proj := make([][]int, len(disguised))
-	for i, rec := range disguised {
-		if err := mr.checkRecord(rec); err != nil {
-			return IndependenceResult{}, fmt.Errorf("record %d: %w", i, err)
-		}
-		proj[i] = []int{rec[attrA], rec[attrB]}
-	}
-	joint, err := pair.EstimateJoint(proj)
-	if err != nil {
-		return IndependenceResult{}, err
+		return IndependenceResult{}, wrapRR(err)
 	}
 	joint = rr.Clip(joint)
 
+	ma, mb := mr.Matrix(attrA), mr.Matrix(attrB)
 	na, nb := ma.N(), mb.N()
 	rowMarg := make([]float64, na)
 	colMarg := make([]float64, nb)

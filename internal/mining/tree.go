@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"optrr/internal/rr"
 )
 
 // Decision-tree building on disguised data, in the style of Du & Zhan:
@@ -58,9 +60,9 @@ type Tree struct {
 // BuildTree grows an ID3 decision tree for the class attribute classAttr
 // from a (reconstructed) joint distribution over the full schema. Negative
 // joint entries (inversion-estimate noise) are clamped to zero.
-func BuildTree(mr *MultiRR, joint []float64, classAttr int, cfg TreeConfig) (*Tree, error) {
-	if len(joint) != mr.JointSize() {
-		return nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), mr.JointSize())
+func BuildTree(mr *rr.Product, joint []float64, classAttr int, cfg TreeConfig) (*Tree, error) {
+	if len(joint) != mr.Cells() {
+		return nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), mr.Cells())
 	}
 	if classAttr < 0 || classAttr >= mr.Attributes() {
 		return nil, fmt.Errorf("%w: class attribute %d", ErrSchema, classAttr)
@@ -88,7 +90,7 @@ func BuildTree(mr *MultiRR, joint []float64, classAttr int, cfg TreeConfig) (*Tr
 
 // grow recursively builds the subtree for the region of the joint
 // distribution matching the fixed assignments.
-func grow(mr *MultiRR, joint []float64, classAttr int, fixed []int, remaining []int, depth int, cfg TreeConfig) *TreeNode {
+func grow(mr *rr.Product, joint []float64, classAttr int, fixed []int, remaining []int, depth int, cfg TreeConfig) *TreeNode {
 	classDist, mass := classDistribution(mr, joint, fixed, classAttr)
 	majority := argmax(classDist)
 	if depth <= 0 || len(remaining) == 0 || mass < cfg.MinMass || pure(classDist) {
@@ -107,14 +109,14 @@ func grow(mr *MultiRR, joint []float64, classAttr int, fixed []int, remaining []
 		// No attribute reduces class entropy: stop.
 		return &TreeNode{Leaf: true, Class: majority}
 	}
-	node := &TreeNode{Attr: bestAttr, Class: majority, Children: make([]*TreeNode, mr.sizes[bestAttr])}
+	node := &TreeNode{Attr: bestAttr, Class: majority, Children: make([]*TreeNode, mr.Matrix(bestAttr).N())}
 	childRemaining := make([]int, 0, len(remaining)-1)
 	for _, d := range remaining {
 		if d != bestAttr {
 			childRemaining = append(childRemaining, d)
 		}
 	}
-	for v := 0; v < mr.sizes[bestAttr]; v++ {
+	for v := 0; v < mr.Matrix(bestAttr).N(); v++ {
 		fixed[bestAttr] = v
 		node.Children[v] = grow(mr, joint, classAttr, fixed, childRemaining, depth-1, cfg)
 	}
@@ -124,8 +126,8 @@ func grow(mr *MultiRR, joint []float64, classAttr int, fixed []int, remaining []
 
 // classDistribution returns the class marginal within the fixed region and
 // the region's total mass.
-func classDistribution(mr *MultiRR, joint []float64, fixed []int, classAttr int) ([]float64, float64) {
-	dist := make([]float64, mr.sizes[classAttr])
+func classDistribution(mr *rr.Product, joint []float64, fixed []int, classAttr int) ([]float64, float64) {
+	dist := make([]float64, mr.Matrix(classAttr).N())
 	var mass float64
 	for idx, p := range joint {
 		if p == 0 {
@@ -147,9 +149,9 @@ func classDistribution(mr *MultiRR, joint []float64, fixed []int, classAttr int)
 }
 
 // conditionalClassEntropy returns H(class | attr) within the fixed region.
-func conditionalClassEntropy(mr *MultiRR, joint []float64, fixed []int, classAttr, attr int) float64 {
-	nAttr := mr.sizes[attr]
-	nClass := mr.sizes[classAttr]
+func conditionalClassEntropy(mr *rr.Product, joint []float64, fixed []int, classAttr, attr int) float64 {
+	nAttr := mr.Matrix(attr).N()
+	nClass := mr.Matrix(classAttr).N()
 	table := make([]float64, nAttr*nClass)
 	var mass float64
 	for idx, p := range joint {

@@ -24,30 +24,22 @@ func xorWorld(n int, noise float64, r *randx.Source) [][]int {
 	return out
 }
 
-func identityMR(t testing.TB, sizes ...int) *MultiRR {
+func identityMR(t testing.TB, sizes ...int) *rr.Product {
 	t.Helper()
 	ms := make([]*rr.Matrix, len(sizes))
 	for i, s := range sizes {
 		ms[i] = rr.Identity(s)
 	}
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mr
+	return mustProduct(t, ms...)
 }
 
-func warnerMR(t testing.TB, p float64, sizes ...int) *MultiRR {
+func warnerMR(t testing.TB, p float64, sizes ...int) *rr.Product {
 	t.Helper()
 	ms := make([]*rr.Matrix, len(sizes))
 	for i, s := range sizes {
 		ms[i] = mustWarner(t, s, p)
 	}
-	mr, err := NewMultiRR(ms...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mr
+	return mustProduct(t, ms...)
 }
 
 func TestBuildTreeValidates(t *testing.T) {

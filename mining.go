@@ -11,8 +11,8 @@ import (
 // Bayes) that Sections I–II motivate.
 
 // MultiRR disguises and reconstructs multi-attribute categorical data with
-// one RR matrix per attribute.
-type MultiRR = mining.MultiRR
+// one RR matrix per attribute: the Kronecker-product channel rr.Product.
+type MultiRR = rr.Product
 
 // Tree is a decision tree trained on a reconstructed joint distribution.
 type Tree = mining.Tree
@@ -34,7 +34,7 @@ type Rule = mining.Rule
 
 // NewMultiRR builds a multi-dimensional disguiser from per-attribute
 // matrices.
-func NewMultiRR(ms ...*Matrix) (*MultiRR, error) { return mining.NewMultiRR(ms...) }
+func NewMultiRR(ms ...*Matrix) (*MultiRR, error) { return rr.NewProduct(ms...) }
 
 // BuildTree grows an ID3 decision tree for classAttr from a (reconstructed)
 // joint distribution over mr's schema.

@@ -118,7 +118,11 @@ func OptimizeMulti(p MultiProblem) (*MultiResult, error) {
 // deterministic chunked batch kernel. The output depends only on
 // (ms, records, seed); workers ≤ 0 uses GOMAXPROCS.
 func DisguiseMultiBatch(ms []*Matrix, records [][]int, seed uint64, workers int) ([][]int, error) {
-	out, err := rr.TupleDisguiseBatch(ms, records, seed, workers)
+	p, err := rr.NewProduct(ms...)
+	if err != nil {
+		return nil, fmt.Errorf("optrr: %w", err)
+	}
+	out, err := p.DisguiseBatch(records, seed, workers)
 	if err != nil {
 		return nil, fmt.Errorf("optrr: %w", err)
 	}
@@ -132,7 +136,11 @@ func DisguiseMultiBatch(ms []*Matrix, records [][]int, seed uint64, workers int)
 // is unbiased but may leave the simplex on small samples; pass it through
 // ClipDistribution for a proper distribution.
 func EstimateJointInversion(ms []*Matrix, disguised [][]int) ([]float64, error) {
-	est, err := rr.TupleEstimateJoint(ms, disguised)
+	p, err := rr.NewProduct(ms...)
+	if err != nil {
+		return nil, fmt.Errorf("optrr: %w", err)
+	}
+	est, err := p.EstimateJoint(disguised)
 	if err != nil {
 		return nil, fmt.Errorf("optrr: %w", err)
 	}

@@ -247,3 +247,24 @@ func TestConfidenceIntervalsValidation(t *testing.T) {
 		t.Fatal("records = 0 accepted")
 	}
 }
+
+// TestEstimateJointInversionRejectsOverflow: 64 binary attributes span 2^64
+// joint cells, more than an int indexes, so the estimator must return an
+// error instead of panicking on a wrapped cell count.
+func TestEstimateJointInversionRejectsOverflow(t *testing.T) {
+	ms := make([]*Matrix, 64)
+	rec := make([]int, 64)
+	for d := range ms {
+		m, err := Warner(2, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[d] = m
+	}
+	if _, err := EstimateJointInversion(ms, [][]int{rec}); err == nil {
+		t.Fatal("64 binary attributes accepted")
+	}
+	if _, err := NewMultiRR(ms...); err == nil {
+		t.Fatal("NewMultiRR accepted 64 binary attributes")
+	}
+}
