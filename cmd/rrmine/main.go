@@ -209,8 +209,7 @@ func main() {
 }
 
 // disguiseTable disguises every attribute of table with Warner(warnerP)
-// through one product channel, as the data owners would. It fails, before
-// drawing anything, when the table's product space does not fit in an int.
+// through one product channel, as the data owners would.
 func disguiseTable(table *dataset.Table, warnerP float64, seed uint64) (*rr.Product, [][]int, error) {
 	attrs := table.Attributes()
 	ms := make([]*rr.Matrix, len(attrs))

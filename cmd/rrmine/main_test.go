@@ -96,11 +96,11 @@ func TestLoadTableSourceValidation(t *testing.T) {
 	}
 }
 
-// TestDisguiseTableRejectsOverflowingProduct loads a 64-column two-valued
-// CSV, whose 2^64-cell product space does not fit in an int: rrmine must
-// fail with rr.ErrShape before disguising rather than index out of range
-// in the joint estimate.
-func TestDisguiseTableRejectsOverflowingProduct(t *testing.T) {
+// TestWideTableFailsOnlyAtTheJoint loads a 64-column two-valued CSV, whose
+// 2^64-cell product space does not fit in an int. Disguising and the
+// per-attribute marginals still work; the tree's full-joint estimate fails
+// with rr.ErrShape rather than indexing out of range.
+func TestWideTableFailsOnlyAtTheJoint(t *testing.T) {
 	var sb strings.Builder
 	for row := -1; row < 4; row++ {
 		for c := 0; c < 64; c++ {
@@ -126,7 +126,14 @@ func TestDisguiseTableRejectsOverflowingProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := disguiseTable(table, 0.8, 1); !errors.Is(err, rr.ErrShape) {
-		t.Fatalf("64 binary attributes: err = %v, want rr.ErrShape", err)
+	mr, disguised, err := disguiseTable(table, 0.8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mr.EstimateAttributes(disguised, []int{63}); err != nil {
+		t.Fatalf("marginal of attribute 63: %v", err)
+	}
+	if _, err := mr.EstimateJoint(disguised); !errors.Is(err, rr.ErrShape) {
+		t.Fatalf("joint of 64 binary attributes: err = %v, want rr.ErrShape", err)
 	}
 }

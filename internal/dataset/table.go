@@ -178,7 +178,7 @@ func ReadCSV(r io.Reader, schema []Attribute) (*Table, error) {
 	cr.TrimLeadingSpace = true
 	records, err := cr.ReadAll()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadTable, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadTable, err)
 	}
 	if len(records) < 1 {
 		return nil, fmt.Errorf("%w: empty input", ErrBadTable)
@@ -296,8 +296,12 @@ func SyntheticTable(attrs []Attribute, joint []float64, rows int, r *randx.Sourc
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadTable, err)
 	}
-	if len(joint) != space.Cells() {
-		return nil, fmt.Errorf("%w: joint has %d cells, want %d", ErrBadTable, len(joint), space.Cells())
+	cells, err := space.Cells()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadTable, err)
+	}
+	if len(joint) != cells {
+		return nil, fmt.Errorf("%w: joint has %d cells, want %d", ErrBadTable, len(joint), cells)
 	}
 	alias, err := randx.NewAlias(joint)
 	if err != nil {

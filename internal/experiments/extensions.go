@@ -368,10 +368,14 @@ func extJointScaleWorld() ([]float64, []int) {
 		ids[d] = rr.Identity(n)
 	}
 	space, err := rr.NewProduct(ids...)
-	if err != nil {
-		panic(err) // unreachable: fixed, non-empty sizes
+	cells := 0
+	if err == nil {
+		cells, err = space.Cells()
 	}
-	joint := make([]float64, space.Cells())
+	if err != nil {
+		panic(err) // unreachable: fixed sizes spanning 20,160 cells
+	}
+	joint := make([]float64, cells)
 	var sum float64
 	for idx := range joint {
 		rec := space.Unindex(idx)

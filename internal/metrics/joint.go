@@ -35,7 +35,10 @@ func JointChannel(ms []*rr.Matrix) (*rr.Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrShape, err)
 	}
-	total := prod.Cells()
+	total, err := prod.Cells()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrShape, err)
+	}
 	if total > maxJointCells {
 		return nil, fmt.Errorf("%w: joint space of %d cells exceeds limit %d", ErrShape, total, maxJointCells)
 	}

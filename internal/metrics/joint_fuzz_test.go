@@ -45,7 +45,10 @@ func FuzzJointIndexRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := prod.Cells()
+		total, err := prod.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ch.N() != total {
 			t.Fatalf("oracle has %d categories, product %d cells", ch.N(), total)
 		}

@@ -32,13 +32,12 @@ type Rule struct {
 	Confidence float64
 }
 
-// BasketMiner estimates itemset supports from disguised basket data. It
-// holds the per-item matrices rather than one rr.Product over every item:
-// baskets routinely have more items than a product space indexable by int
-// (2^63 cells at 63 binary items), and a support only ever needs the
-// product channel of its own itemset.
+// BasketMiner estimates itemset supports from disguised basket data. A
+// support only ever estimates the product channel of its own itemset, so
+// baskets may have more items than an int-indexable product space holds
+// (2^63 cells at 63 binary items).
 type BasketMiner struct {
-	ms        []*rr.Matrix
+	prod      *rr.Product
 	disguised [][]int
 }
 
@@ -57,51 +56,28 @@ func NewBasketMiner(ms []*rr.Matrix, disguised [][]int) (*BasketMiner, error) {
 	if len(disguised) == 0 {
 		return nil, ErrNoData
 	}
-	for k, rec := range disguised {
-		if len(rec) != len(ms) {
-			return nil, fmt.Errorf("%w: basket %d has %d items, want %d", ErrSchema, k, len(rec), len(ms))
-		}
-		for i, v := range rec {
-			if v != 0 && v != 1 {
-				return nil, fmt.Errorf("%w: basket %d has value %d for item %d", ErrSchema, k, v, i)
-			}
-		}
+	prod, err := rr.NewProduct(ms...)
+	if err != nil {
+		return nil, wrapRR(err)
 	}
-	return &BasketMiner{ms: ms, disguised: disguised}, nil
+	if err := prod.Check(disguised); err != nil {
+		return nil, wrapRR(err)
+	}
+	return &BasketMiner{prod: prod, disguised: disguised}, nil
 }
 
 // Items returns the number of item columns.
-func (bm *BasketMiner) Items() int { return len(bm.ms) }
+func (bm *BasketMiner) Items() int { return bm.prod.Attributes() }
 
 // Support reconstructs the support of an itemset: the probability that all
 // listed items are 1 in the original data. The reconstruction inverts only
-// the |items| relevant axes, so the cost is O(N·|items| + 2^|items|).
+// the |items| relevant axes; with the schema check of every basket the cost
+// is O(N·Items + 2^|items|).
 func (bm *BasketMiner) Support(items []int) (float64, error) {
 	if len(items) == 0 {
 		return 1, nil
 	}
-	seen := make(map[int]bool, len(items))
-	ms := make([]*rr.Matrix, len(items))
-	for i, it := range items {
-		if it < 0 || it >= bm.Items() || seen[it] {
-			return 0, fmt.Errorf("%w: bad item %d", ErrSchema, it)
-		}
-		seen[it] = true
-		ms[i] = bm.ms[it]
-	}
-	sub, err := rr.NewProduct(ms...)
-	if err != nil {
-		return 0, wrapRR(err)
-	}
-	proj := make([][]int, len(bm.disguised))
-	for k, rec := range bm.disguised {
-		row := make([]int, len(items))
-		for i, it := range items {
-			row[i] = rec[it]
-		}
-		proj[k] = row
-	}
-	joint, err := sub.EstimateJoint(proj)
+	joint, err := bm.prod.EstimateAttributes(bm.disguised, items)
 	if err != nil {
 		return 0, wrapRR(err)
 	}

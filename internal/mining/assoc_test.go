@@ -276,8 +276,9 @@ func BenchmarkSupportPair(b *testing.B) {
 }
 
 // TestBasketMinerManyItems: supports need only their itemset's product
-// channel, so a basket with more items than an int-indexable product space
-// (70 binary items, 2^70 cells) still mines.
+// channel, so baskets with more items than an int-indexable product space
+// (70 binary items, 2^70 cells) still disguise through that product and
+// mine. The identity channel (Warner p = 1) keeps the support exact.
 func TestBasketMinerManyItems(t *testing.T) {
 	const nItems = 70
 	baskets := make([][]int, 400)
@@ -287,7 +288,12 @@ func TestBasketMinerManyItems(t *testing.T) {
 			baskets[k][0], baskets[k][nItems-1] = 1, 1
 		}
 	}
-	bm, err := NewBasketMiner(binaryMatrices(t, nItems, 1), baskets)
+	ms := binaryMatrices(t, nItems, 1)
+	disguised, err := mustProduct(t, ms...).DisguiseBatch(baskets, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := NewBasketMiner(ms, disguised)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,56 @@ func sampleJoint(t testing.TB, joint []float64, sizes []int, n int, r *randx.Sou
 		out[i] = prod.Unindex(alias.Draw(r))
 	}
 	return out
+}
+
+// TestMiningSixtyFourBinaryAttributes: 64 binary attributes span 2^64
+// cells, more than an int indexes. Naive Bayes and the chi-square test only
+// ever invert one- or two-attribute sub-products, so they still work; the
+// tree, which needs the full joint, fails with ErrSchema instead of
+// indexing out of range.
+func TestMiningSixtyFourBinaryAttributes(t *testing.T) {
+	const attrs, n = 64, 4000
+	r := randx.New(11)
+	records := make([][]int, n)
+	for k := range records {
+		rec := make([]int, attrs)
+		for d := range rec {
+			rec[d] = r.Intn(2)
+		}
+		rec[attrs-1] = rec[0] // the class copies attribute 0
+		records[k] = rec
+	}
+	ms := make([]*rr.Matrix, attrs)
+	for d := range ms {
+		ms[d] = mustWarner(t, 2, 0.9)
+	}
+	mr := mustProduct(t, ms...)
+	disguised, err := mr.DisguiseBatch(records, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dep, err := ChiSquareIndependence(mr, disguised, 0, attrs-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dep.Dependent(0.01) {
+		t.Fatalf("planted dependence missed: %+v", dep)
+	}
+	nb, err := TrainNaiveBayes(mr, disguised, attrs-1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := nb.Accuracy(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc < 0.9 {
+		t.Fatalf("naive Bayes accuracy %.3f on clean rows, want ≥ 0.9", acc)
+	}
+	if _, err := BuildTree(mr, nil, attrs-1, TreeConfig{}); !errors.Is(err, ErrSchema) {
+		t.Fatalf("BuildTree over 2^64 cells: err = %v, want ErrSchema", err)
+	}
 }
 
 // TestEstimateJointRecoversDistribution is the core multi-dimensional RR

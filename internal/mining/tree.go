@@ -61,8 +61,12 @@ type Tree struct {
 // from a (reconstructed) joint distribution over the full schema. Negative
 // joint entries (inversion-estimate noise) are clamped to zero.
 func BuildTree(mr *rr.Product, joint []float64, classAttr int, cfg TreeConfig) (*Tree, error) {
-	if len(joint) != mr.Cells() {
-		return nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), mr.Cells())
+	cells, err := mr.Cells()
+	if err != nil {
+		return nil, wrapRR(err)
+	}
+	if len(joint) != cells {
+		return nil, fmt.Errorf("%w: joint of size %d, want %d", ErrSchema, len(joint), cells)
 	}
 	if classAttr < 0 || classAttr >= mr.Attributes() {
 		return nil, fmt.Errorf("%w: class attribute %d", ErrSchema, classAttr)

@@ -21,33 +21,43 @@ import (
 // attribute 0 slowest: cell ((rec_0·n_1 + rec_1)·n_2 + …) — see Index. The
 // Kronecker factor order of internal/matrix and internal/metrics follows the
 // same convention.
+//
+// A schema whose cell count overflows int (63 binary attributes, or about
+// 19 of 10 categories) is still a valid channel: disguising and
+// EstimateAttributes never touch the whole product space. Only the methods
+// indexed by cell — Cells, Index, EmpiricalJoint, EstimateJoint,
+// InvertJoint and Marginal — return ErrShape for it.
 type Product struct {
 	ms    []*Matrix
 	sizes []int
-	cells int
+	// cells is ∏_d n_d; cellsErr is set instead when that overflows int.
+	cells    int
+	cellsErr error
 }
 
 // NewProduct builds the product channel of one matrix per attribute. It
-// returns ErrShape for an empty or nil matrix list and for a product space
-// whose cell count overflows int.
+// returns ErrShape for an empty or nil matrix list.
 func NewProduct(ms ...*Matrix) (*Product, error) {
 	if len(ms) == 0 {
 		return nil, fmt.Errorf("%w: no attributes", ErrShape)
 	}
-	sizes := make([]int, len(ms))
-	cells := 1
+	p := &Product{ms: append([]*Matrix(nil), ms...), sizes: make([]int, len(ms)), cells: 1}
 	for d, m := range ms {
 		if m == nil {
 			return nil, fmt.Errorf("%w: nil matrix for attribute %d", ErrShape, d)
 		}
 		n := m.N()
-		if cells > math.MaxInt/n {
-			return nil, fmt.Errorf("%w: product space of %d attributes overflows int at attribute %d", ErrShape, len(ms), d)
+		p.sizes[d] = n
+		switch {
+		case p.cellsErr != nil:
+		case p.cells > math.MaxInt/n:
+			p.cells = 0
+			p.cellsErr = fmt.Errorf("%w: product space of %d attributes overflows int at attribute %d", ErrShape, len(ms), d)
+		default:
+			p.cells *= n
 		}
-		sizes[d] = n
-		cells *= n
 	}
-	return &Product{ms: append([]*Matrix(nil), ms...), sizes: sizes, cells: cells}, nil
+	return p, nil
 }
 
 // Attributes returns the number of attributes.
@@ -56,11 +66,24 @@ func (p *Product) Attributes() int { return len(p.ms) }
 // Sizes returns the per-attribute category counts.
 func (p *Product) Sizes() []int { return append([]int(nil), p.sizes...) }
 
-// Cells returns the number of cells of the product space, ∏_d n_d.
-func (p *Product) Cells() int { return p.cells }
+// Cells returns the number of cells of the product space, ∏_d n_d. It
+// returns ErrShape when that count overflows int.
+func (p *Product) Cells() (int, error) { return p.cells, p.cellsErr }
 
 // Matrix returns the RR matrix of attribute d.
 func (p *Product) Matrix(d int) *Matrix { return p.ms[d] }
+
+// Check validates records against the schema: each must have one value per
+// attribute, inside that attribute's category range. It returns ErrShape
+// naming the first record that does not fit.
+func (p *Product) Check(records [][]int) error {
+	for k, rec := range records {
+		if err := p.check(rec); err != nil {
+			return fmt.Errorf("record %d: %w", k, err)
+		}
+	}
+	return nil
+}
 
 // check validates one multi-attribute record against the schema.
 func (p *Product) check(rec []int) error {
@@ -81,6 +104,9 @@ func (p *Product) Index(rec []int) (int, error) {
 	if err := p.check(rec); err != nil {
 		return 0, err
 	}
+	if p.cellsErr != nil {
+		return 0, p.cellsErr
+	}
 	idx := 0
 	for d, v := range rec {
 		idx = idx*p.sizes[d] + v
@@ -88,7 +114,8 @@ func (p *Product) Index(rec []int) (int, error) {
 	return idx, nil
 }
 
-// Unindex inverts Index for a cell index in [0, Cells()).
+// Unindex inverts Index for a cell index in [0, Cells()); a product whose
+// cell count overflows int has no such index.
 func (p *Product) Unindex(idx int) []int {
 	rec := make([]int, len(p.sizes))
 	for d := len(p.sizes) - 1; d >= 0; d-- {
@@ -255,11 +282,11 @@ func (p *Product) EstimateAttributes(disguised [][]int, attrs []int) ([]float64,
 	if err != nil {
 		return nil, err
 	}
+	if err := p.Check(disguised); err != nil {
+		return nil, err
+	}
 	proj := sub.rows(len(disguised))
 	for k, rec := range disguised {
-		if err := p.check(rec); err != nil {
-			return nil, fmt.Errorf("record %d: %w", k, err)
-		}
 		for i, d := range attrs {
 			proj[k][i] = rec[d]
 		}
@@ -272,6 +299,9 @@ func (p *Product) EstimateAttributes(disguised [][]int, attrs []int) ([]float64,
 // EstimateJoint, for callers that already hold the disguised joint. It
 // returns ErrSingular if any attribute's matrix is singular.
 func (p *Product) InvertJoint(joint []float64) ([]float64, error) {
+	if p.cellsErr != nil {
+		return nil, p.cellsErr
+	}
 	if len(joint) != p.cells {
 		return nil, fmt.Errorf("%w: joint of %d cells, want %d", ErrShape, len(joint), p.cells)
 	}
@@ -302,6 +332,9 @@ func (p *Product) InvertJoint(joint []float64) ([]float64, error) {
 // attribute except the ones listed in keep, returning the marginal (in keep
 // order, flattened as Index of the kept attributes) and its sizes.
 func (p *Product) Marginal(joint []float64, keep []int) ([]float64, []int, error) {
+	if p.cellsErr != nil {
+		return nil, nil, p.cellsErr
+	}
 	if len(joint) != p.cells {
 		return nil, nil, fmt.Errorf("%w: joint of %d cells, want %d", ErrShape, len(joint), p.cells)
 	}

@@ -47,6 +47,16 @@ func mustNewProduct(t testing.TB, ms ...*Matrix) *Product {
 	return p
 }
 
+// cellsOf is Product.Cells failing the test on error.
+func cellsOf(t testing.TB, p *Product) int {
+	t.Helper()
+	cells, err := p.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells
+}
+
 // TestTupleDisguiseBatchDeterministicAcrossWorkers is the product batch
 // kernel's contract: output depends only on (ms, records, seed), never on worker
 // count, including totals straddling chunk boundaries.
@@ -255,39 +265,83 @@ func TestNewProductValidates(t *testing.T) {
 		t.Fatalf("nil matrix: err = %v", err)
 	}
 	prod := mustNewProduct(t, Identity(3), Identity(4))
-	if prod.Attributes() != 2 || prod.Cells() != 12 {
-		t.Fatalf("attributes = %d, cells = %d", prod.Attributes(), prod.Cells())
+	if cells := cellsOf(t, prod); prod.Attributes() != 2 || cells != 12 {
+		t.Fatalf("attributes = %d, cells = %d", prod.Attributes(), cells)
 	}
 	if s := prod.Sizes(); s[0] != 3 || s[1] != 4 {
 		t.Fatalf("sizes = %v", s)
 	}
 }
 
-// TestNewProductRejectsOverflow pins the int-overflow guard: 62 binary
-// attributes (2^62 cells) still fit, 63 and 64 do not. Without the guard the
-// cell count wraps to a negative number or to zero, and every estimate
-// indexes out of range.
-func TestNewProductRejectsOverflow(t *testing.T) {
+// TestProductOverflowRejectsOnlyCellIndexedMethods pins the int-overflow
+// guard: 62 binary attributes (2^62 cells) still fit; at 63 and 64 the cell
+// count would wrap to a negative number or to zero and every estimate would
+// index out of range, so the cell-indexed methods return ErrShape. The
+// channel itself stays usable: disguising and per-attribute estimates never
+// index the whole product space.
+func TestProductOverflowRejectsOnlyCellIndexedMethods(t *testing.T) {
 	binary := func(d int) []*Matrix {
 		ms := make([]*Matrix, d)
 		for i := range ms {
-			ms[i] = Identity(2)
+			m, err := Warner(2, 0.8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms[i] = m
 		}
 		return ms
 	}
-	if prod := mustNewProduct(t, binary(62)...); prod.Cells() != 1<<62 {
-		t.Fatalf("62 binary attributes: cells = %d, want 2^62", prod.Cells())
+	if cells := cellsOf(t, mustNewProduct(t, binary(62)...)); cells != 1<<62 {
+		t.Fatalf("62 binary attributes: cells = %d, want 2^62", cells)
 	}
 	for _, d := range []int{63, 64} {
-		if _, err := NewProduct(binary(d)...); !errors.Is(err, ErrShape) {
-			t.Fatalf("%d binary attributes: err = %v, want ErrShape", d, err)
+		prod := mustNewProduct(t, binary(d)...)
+		recs := tupleRecords(prod.Sizes(), 200, uint64(d))
+		if _, err := prod.Cells(); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: Cells err = %v, want ErrShape", d, err)
+		}
+		if _, err := prod.Index(recs[0]); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: Index err = %v, want ErrShape", d, err)
+		}
+		if _, err := prod.EmpiricalJoint(recs); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: EmpiricalJoint err = %v, want ErrShape", d, err)
+		}
+		if _, err := prod.EstimateJoint(recs); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: EstimateJoint err = %v, want ErrShape", d, err)
+		}
+		if _, err := prod.InvertJoint(nil); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: InvertJoint err = %v, want ErrShape", d, err)
+		}
+		if _, _, err := prod.Marginal(nil, []int{0}); !errors.Is(err, ErrShape) {
+			t.Fatalf("%d attributes: Marginal err = %v, want ErrShape", d, err)
+		}
+
+		serial, err := prod.Disguise(recs, randx.New(1))
+		if err != nil {
+			t.Fatalf("%d attributes: Disguise: %v", d, err)
+		}
+		batch, err := prod.DisguiseBatch(recs, 1, 2)
+		if err != nil {
+			t.Fatalf("%d attributes: DisguiseBatch: %v", d, err)
+		}
+		for _, out := range [][][]int{serial, batch} {
+			if err := prod.Check(out); err != nil {
+				t.Fatalf("%d attributes: disguised records do not fit the schema: %v", d, err)
+			}
+		}
+		pair, err := prod.EstimateAttributes(batch, []int{0, d - 1})
+		if err != nil {
+			t.Fatalf("%d attributes: EstimateAttributes: %v", d, err)
+		}
+		if len(pair) != 4 {
+			t.Fatalf("%d attributes: pair estimate has %d cells, want 4", d, len(pair))
 		}
 	}
 }
 
 func TestProductIndexUnindexRoundTrip(t *testing.T) {
 	prod := mustProduct(t, []int{3, 4, 2}, 0.8)
-	for idx := 0; idx < prod.Cells(); idx++ {
+	for idx := 0; idx < cellsOf(t, prod); idx++ {
 		rec := prod.Unindex(idx)
 		back, err := prod.Index(rec)
 		if err != nil {
@@ -322,6 +376,14 @@ func TestProductDisguiseValidatesAndPreservesShape(t *testing.T) {
 	}
 	if _, err := prod.Disguise([][]int{{0, 5}}, randx.New(1)); !errors.Is(err, ErrShape) {
 		t.Fatal("bad record accepted")
+	}
+	if err := prod.Check(out); err != nil {
+		t.Fatalf("disguised records rejected: %v", err)
+	}
+	for _, bad := range [][][]int{{{0, 1}, {0}}, {{0, 1}, {3, 0}}, {{0, -1}}} {
+		if err := prod.Check(bad); !errors.Is(err, ErrShape) {
+			t.Fatalf("Check(%v) = %v, want ErrShape", bad, err)
+		}
 	}
 }
 
@@ -461,7 +523,7 @@ func FuzzProductIndexRoundTrip(f *testing.F) {
 			ms[d] = Identity(n)
 		}
 		prod := mustNewProduct(t, ms...)
-		idx := int(rawIdx) % prod.Cells()
+		idx := int(rawIdx) % cellsOf(t, prod)
 
 		rec := prod.Unindex(idx)
 		if len(rec) != len(ms) {

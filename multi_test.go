@@ -264,7 +264,52 @@ func TestEstimateJointInversionRejectsOverflow(t *testing.T) {
 	if _, err := EstimateJointInversion(ms, [][]int{rec}); err == nil {
 		t.Fatal("64 binary attributes accepted")
 	}
-	if _, err := NewMultiRR(ms...); err == nil {
-		t.Fatal("NewMultiRR accepted 64 binary attributes")
+}
+
+// TestDisguiseSixtyFourBinaryAttributes: disguising never indexes the
+// product space, so 64 binary attributes (2^64 cells) disguise through both
+// the serial channel and the batch kernel, and the batch output does not
+// depend on the worker count.
+func TestDisguiseSixtyFourBinaryAttributes(t *testing.T) {
+	ms := make([]*Matrix, 64)
+	for d := range ms {
+		m, err := Warner(2, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[d] = m
+	}
+	records := make([][]int, 300)
+	for k := range records {
+		records[k] = make([]int, len(ms))
+		for d := range records[k] {
+			records[k][d] = (k + d) % 2
+		}
+	}
+	mr, err := NewMultiRR(ms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := mr.Disguise(records, NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := DisguiseMultiBatch(ms, records, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := DisguiseMultiBatch(ms, records, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range records {
+		for d := range ms {
+			if one[k][d] != four[k][d] {
+				t.Fatalf("record %d attribute %d: workers 1 gave %d, workers 4 gave %d", k, d, one[k][d], four[k][d])
+			}
+			if v := serial[k][d]; v != 0 && v != 1 {
+				t.Fatalf("serial record %d attribute %d = %d out of range", k, d, v)
+			}
+		}
 	}
 }
